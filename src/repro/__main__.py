@@ -11,7 +11,6 @@ Examples::
     python -m repro fuzz --seed 0 --iterations 200
     python -m repro fuzz --replay tests/corpus
     python -m repro serve --http-port 8722 --answer-cache answers.sqlite
-    python -m repro shardserve --shards 4 --http-port 8740
     python -m repro loadgen --requests 200 --clients 8 --rename-mix 0.5
 """
 
@@ -376,104 +375,6 @@ def main(argv=None) -> int:
         "(default: REPRO_SERVE_DRAIN or 30)",
     )
 
-    p_shard = sub.add_parser(
-        "shardserve",
-        help="run the shard router over N supervised serve daemons",
-        description="One router process owning the listening ports "
-        "over N 'repro serve' workers, each pinned to a disjoint "
-        "hash-prefix slice of the canonical-content-hash keyspace.  "
-        "The router speaks the daemon's exact HTTP + JSONL protocols, "
-        "coalesces duplicate hashes fleet-wide, answers settled "
-        "hashes from a router-side read replica, and supervises "
-        "workers (health checks, restart with backoff, SIGTERM drain "
-        "fan-out).  REPRO_SHARD_* environment variables provide "
-        "defaults for every tuning flag.",
-    )
-    p_shard.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: %(default)s)"
-    )
-    p_shard.add_argument(
-        "--http-port",
-        type=int,
-        default=8740,
-        help="router HTTP port; 0 picks a free port (default: %(default)s)",
-    )
-    p_shard.add_argument(
-        "--jsonl-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="also serve JSONL-over-TCP on PORT (0 picks a free port; "
-        "default: HTTP only)",
-    )
-    p_shard.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker daemon count (default: REPRO_SHARD_N or 4)",
-    )
-    p_shard.add_argument(
-        "--prefix-bits",
-        type=int,
-        default=None,
-        metavar="B",
-        help="leading content-hash bits used for ownership "
-        "(default: REPRO_SHARD_BITS or 16)",
-    )
-    p_shard.add_argument(
-        "--cache-dir",
-        default=".repro-shards",
-        metavar="DIR",
-        help="directory for the shared shard store file "
-        "(default: %(default)s)",
-    )
-    p_shard.add_argument(
-        "--no-replica",
-        action="store_true",
-        help="disable the router-side warm read replica",
-    )
-    p_shard.add_argument(
-        "--replica-limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="replica LRU entries (default: REPRO_SHARD_REPLICA_LIMIT "
-        "or 4096)",
-    )
-    p_shard.add_argument(
-        "--queue-limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max fleet in-flight computations before load-shedding "
-        "(default: REPRO_SHARD_QUEUE or 256)",
-    )
-    p_shard.add_argument(
-        "--health-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="worker /healthz probe period (default: REPRO_SHARD_HEALTH "
-        "or 1.0)",
-    )
-    p_shard.add_argument(
-        "--forward-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="max time to keep retrying a request across worker "
-        "restarts (default: 300)",
-    )
-    p_shard.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="max wait for in-flight work and worker drains on "
-        "shutdown (default: REPRO_SHARD_DRAIN or 30)",
-    )
-
     p_loadgen = sub.add_parser(
         "loadgen",
         help="replay a request corpus against the serve daemon",
@@ -537,7 +438,7 @@ def main(argv=None) -> int:
         "--assert-no-duplicates",
         action="store_true",
         help="exit 1 if any content hash was cold-computed more than "
-        "once (fleet dedup check for shardserve targets)",
+        "once (meaningful only against a daemon with a results cache)",
     )
     p_loadgen.add_argument(
         "--cache",
@@ -581,11 +482,6 @@ def main(argv=None) -> int:
         from repro.serve.http import serve_main
 
         return serve_main(args)
-
-    if args.command == "shardserve":
-        from repro.shard.router import shardserve_main
-
-        return shardserve_main(args)
 
     if args.command == "loadgen":
         from repro.serve.loadgen import loadgen_main

@@ -10,7 +10,13 @@ hashing, then served through the cheapest possible tier:
 1. **warm** -- the persistent results store (the same sqlite
    :class:`~repro.service.diskcache.DiskCache` the batch CLI uses)
    already holds this content hash: answer straight from disk, zero
-   engine work.  ``evaluate`` jobs get a second warm source: a
+   engine work.  In front of the store sits a bounded in-memory map
+   from content hash to the settled response body, filled on every
+   store hit and every stored cold result, so a repeat skips the
+   sqlite read and the JSON decode too.  Entries are content-addressed
+   like the store rows, so the map can lack an answer but never hold
+   a stale one; it is used only when a store is configured.
+   ``evaluate`` jobs get a second warm source: a
    bounded in-daemon artifact map from *point-free* formula hash to
    the serialized symbolic answer, so a new point set for an
    already-computed formula is served by the compiled
@@ -79,13 +85,8 @@ from repro.service.request import JobRequest, RequestError
 OVERLOADED = "overloaded"
 RATE_LIMITED = "rate_limited"
 
-#: A request whose canonical content hash falls outside this daemon's
-#: owned hash-prefix slice (sharded serving; HTTP maps it to 421).
-#: Clients should talk to the shard router, which can never misroute
-#: because it derives ownership from the same canonical hash.
-MISROUTED = "misrouted"
-
-#: Cap on the in-daemon formula-hash -> symbolic-answer artifact map.
+#: Cap on each in-daemon map: formula hash -> symbolic answer, and
+#: content hash -> settled response body.
 ARTIFACT_CAP = 1024
 
 #: Request kinds answered by the resident binary automaton.  They run
@@ -102,6 +103,14 @@ def _env_int(name: str) -> Optional[int]:
 def _env_float(name: str) -> Optional[float]:
     value = os.environ.get(name)
     return float(value) if value else None
+
+
+def _remember(entries: OrderedDict, key: str, value: dict) -> None:
+    """Insert as most recent, evicting the oldest past ``ARTIFACT_CAP``."""
+    entries[key] = value
+    entries.move_to_end(key)
+    while len(entries) > ARTIFACT_CAP:
+        entries.popitem(last=False)
 
 
 class ServeConfig:
@@ -126,9 +135,6 @@ class ServeConfig:
         "cache_path",
         "cache_limit",
         "drain_timeout",
-        "shard_index",
-        "shard_count",
-        "shard_bits",
     )
 
     def __init__(
@@ -146,24 +152,11 @@ class ServeConfig:
         cache_path: Optional[str] = ".repro-cache.sqlite",
         cache_limit: int = 100000,
         drain_timeout: float = 30.0,
-        shard_index: Optional[int] = None,
-        shard_count: Optional[int] = None,
-        shard_bits: Optional[int] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if shard_index is not None:
-            if shard_count is None or shard_count < 1:
-                raise ValueError(
-                    "shard_index needs a shard_count >= 1"
-                )
-            if not 0 <= shard_index < shard_count:
-                raise ValueError(
-                    "shard_index %d out of range for %d shards"
-                    % (shard_index, shard_count)
-                )
         self.host = host
         self.http_port = http_port
         self.jsonl_port = jsonl_port
@@ -177,9 +170,6 @@ class ServeConfig:
         self.cache_path = cache_path
         self.cache_limit = cache_limit
         self.drain_timeout = drain_timeout
-        self.shard_index = shard_index
-        self.shard_count = shard_count
-        self.shard_bits = shard_bits
 
     @classmethod
     def from_env(cls, **overrides) -> "ServeConfig":
@@ -192,32 +182,10 @@ class ServeConfig:
             "default_timeout": _env_float("REPRO_SERVE_TIMEOUT"),
             "default_budget": _env_int("REPRO_SERVE_BUDGET"),
             "drain_timeout": _env_float("REPRO_SERVE_DRAIN"),
-            # The shard supervisor sets these in worker environments;
-            # REPRO_SHARD_INDEX is the opt-in (REPRO_SHARD_N alone --
-            # say, in a shell that also launches the router -- must not
-            # give a standalone daemon a partial keyspace).
-            "shard_index": _env_int("REPRO_SHARD_INDEX"),
-            "shard_count": _env_int("REPRO_SHARD_N"),
-            "shard_bits": _env_int("REPRO_SHARD_BITS"),
         }
         values = {k: v for k, v in values.items() if v is not None}
-        if "shard_index" not in values:
-            values.pop("shard_count", None)
-            values.pop("shard_bits", None)
         values.update(overrides)
         return cls(**values)
-
-    def shard_slice(self):
-        """The owned keyspace slice, or None for a whole-keyspace daemon."""
-        if self.shard_index is None:
-            return None
-        from repro.shard.config import DEFAULT_PREFIX_BITS, ShardSlice
-
-        return ShardSlice(
-            self.shard_bits or DEFAULT_PREFIX_BITS,
-            self.shard_count,
-            self.shard_index,
-        )
 
 
 class _InFlight:
@@ -246,22 +214,18 @@ class CountingDaemon:
             burst=self.config.burst,
             budget_ceiling=self.config.tenant_budget,
         )
-        self._slice = self.config.shard_slice()
         self._owns_cache = cache is None and self.config.cache_path is not None
         if cache is not None:
             self.cache: Optional[DiskCache] = cache
         elif self.config.cache_path is not None:
-            # Under shard ownership the store refuses foreign writes
-            # too (defense in depth behind the handle() refusal).
             self.cache = DiskCache(
-                self.config.cache_path,
-                max_entries=self.config.cache_limit,
-                owns=self._slice.owns if self._slice is not None else None,
+                self.config.cache_path, max_entries=self.config.cache_limit
             )
         else:
             self.cache = None
         self._inflight: "dict[str, _InFlight]" = {}
         self._artifacts: "OrderedDict[str, dict]" = OrderedDict()
+        self._bodies: "OrderedDict[str, dict]" = OrderedDict()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._io: Optional[ThreadPoolExecutor] = None
         self._draining = False
@@ -364,36 +328,23 @@ class CountingDaemon:
                 "front",
             )
 
-        if self._slice is not None and not self._slice.owns(key):
-            # A shard answers only its own keyspace slice.  Serving a
-            # foreign hash would compute and cache an answer another
-            # shard owns, silently splitting the authoritative store.
-            m.bump("misrouted")
-            return self._error_response(
-                req.id,
-                MISROUTED,
-                "content hash %s... belongs to shard %d of %d"
-                " (this is shard %d); route via the shard router"
-                % (
-                    key[:12],
-                    self._slice.owner(key),
-                    self._slice.count,
-                    self._slice.index,
-                ),
-                t0,
-                "front",
-            )
-
         loop = asyncio.get_event_loop()
 
-        # Tier 1: warm -- the persistent results store.
+        # Tier 1: warm -- settled bodies in memory, then the results store.
         if self.cache is not None and self._io is not None:
-            payload = await loop.run_in_executor(self._io, self.cache.get, key)
-            if payload is not None and "result" in payload:
-                m.bump("warm_hits")
-                return self._ok_response(
-                    req.id, payload, t0, "warm", cached=True
+            core = self._bodies.get(key)
+            if core is not None:
+                self._bodies.move_to_end(key)
+            else:
+                payload = await loop.run_in_executor(
+                    self._io, self.cache.get, key
                 )
+                if payload is not None and "result" in payload:
+                    core = response_core(payload)
+                    _remember(self._bodies, key, core)
+            if core is not None:
+                m.bump("warm_hits")
+                return self._ok_response(req.id, core, t0, "warm", cached=True)
         if req.kind == "evaluate":
             response = await self._from_artifact(req, key, t0)
             if response is not None:
@@ -473,6 +424,8 @@ class CountingDaemon:
                         )
                     except (sqlite3.Error, OSError):
                         pass
+                    else:
+                        _remember(self._bodies, key, response_core(payload))
                 self._remember_artifact(req, payload)
             return outcome
         finally:
@@ -534,15 +487,15 @@ class CountingDaemon:
             fkey = req.formula_hash()
         except Exception:  # pragma: no cover - hash already computed once
             return
-        artifacts = self._artifacts
-        artifacts[fkey] = {
-            "result": payload["result"],
-            "result_json": payload["result_json"],
-            "exactness": payload["exactness"],
-        }
-        artifacts.move_to_end(fkey)
-        while len(artifacts) > ARTIFACT_CAP:
-            artifacts.popitem(last=False)
+        _remember(
+            self._artifacts,
+            fkey,
+            {
+                "result": payload["result"],
+                "result_json": payload["result_json"],
+                "exactness": payload["exactness"],
+            },
+        )
 
     async def _from_artifact(
         self, req: JobRequest, key: str, t0: float
@@ -686,7 +639,6 @@ __all__ = [
     "ARTIFACT_CAP",
     "AUTOMATON_KINDS",
     "CountingDaemon",
-    "MISROUTED",
     "OVERLOADED",
     "RATE_LIMITED",
     "ServeConfig",

@@ -36,7 +36,6 @@ ports once listening, and exits 0 after a clean drain.
 """
 
 import asyncio
-import inspect
 import json
 import signal
 import sys
@@ -44,7 +43,6 @@ from typing import Optional, Tuple
 
 from repro.core import stats
 from repro.serve.daemon import (
-    MISROUTED,
     OVERLOADED,
     RATE_LIMITED,
     CountingDaemon,
@@ -62,7 +60,6 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
-    421: "Misdirected Request",
     429: "Too Many Requests",
     500: "Internal Server Error",
     504: "Gateway Timeout",
@@ -74,7 +71,6 @@ _ERROR_STATUS = {
     BAD_REQUEST: 400,
     PARSE_ERROR: 400,
     TIMEOUT: 504,
-    MISROUTED: 421,
 }
 
 _JOB_PATHS = (
@@ -195,16 +191,7 @@ class HttpFrontend:
         self, method: str, path: str, headers: dict, body: bytes
     ) -> Tuple[int, dict]:
         if method == "GET":
-            # The shard router serves these same front ends but needs
-            # fleet-level answers, so a daemon-like object may bring
-            # its own (possibly async) healthz / stats_snapshot.
             if path == "/healthz":
-                provider = getattr(self.daemon, "healthz", None)
-                if provider is not None:
-                    doc = provider()
-                    if inspect.isawaitable(doc):
-                        doc = await doc
-                    return 200, doc
                 return 200, {
                     "ok": not self.daemon.draining,
                     "draining": self.daemon.draining,
@@ -212,12 +199,6 @@ class HttpFrontend:
                     "queue_depth": self.daemon.metrics.queue_depth(),
                 }
             if path == "/stats":
-                provider = getattr(self.daemon, "stats_snapshot", None)
-                if provider is not None:
-                    doc = provider()
-                    if inspect.isawaitable(doc):
-                        doc = await doc
-                    return 200, doc
                 return 200, stats.engine_snapshot()
             return 404, self._failure("no such endpoint: %s" % path, "not_found")
         if method != "POST":

@@ -58,16 +58,13 @@ from repro.service.request import (
 #: byte-identical.  ``tier`` is the serve daemon's annotation of which
 #: serving tier answered (warm/coalesced/cold/...); the batch CLI does
 #: not emit it, so it must be volatile for daemon-vs-batch
-#: byte-identity checks to hold.  ``shard`` is the shard router's
-#: annotation of the owning shard index -- same story: a topology
-#: detail, not part of the answer.
+#: byte-identity checks to hold.
 VOLATILE_RESPONSE_KEYS = (
     "cached",
     "wall_ms",
     "attempts",
     "stats",
     "tier",
-    "shard",
 )
 
 #: Payload keys not echoed into response lines (bulky; clients that

@@ -55,28 +55,8 @@ CREATE INDEX IF NOT EXISTS {table}_stamp ON {table} (stamp);
 _TABLE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-class MisroutedWriteError(ValueError):
-    """A write for a key outside this cache's owned hash-prefix slice.
-
-    Raised by :meth:`DiskCache.put` when the cache was constructed with
-    an ``owns`` predicate (sharded serving gives every shard's store
-    the shard's :meth:`~repro.shard.config.ShardSlice.owns`): a shard
-    must never persist an answer it does not own, or two shards could
-    diverge on who holds the authoritative row for a hash.
-    """
-
-
 class DiskCache:
-    """A persistent LRU mapping ``content_hash -> payload dict``.
-
-    ``owns``, when given, is a ``key -> bool`` ownership predicate;
-    writes for keys outside the owned slice raise
-    :class:`MisroutedWriteError` instead of landing.  Reads are not
-    guarded -- a read of a foreign key is a harmless miss (or a stale
-    leftover from a re-partition, which self-corrects via LRU), while a
-    foreign *write* would silently violate the single-writer-per-key
-    invariant sharded serving relies on.
-    """
+    """A persistent LRU mapping ``content_hash -> payload dict``."""
 
     def __init__(
         self,
@@ -84,7 +64,6 @@ class DiskCache:
         max_entries: int = 100000,
         busy_timeout: float = 30.0,
         table: str = "results",
-        owns=None,
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
@@ -92,7 +71,6 @@ class DiskCache:
             raise ValueError("table must be an identifier, got %r" % (table,))
         self.path = path
         self.table = table
-        self.owns = owns
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -184,11 +162,6 @@ class DiskCache:
 
     def put(self, key: str, payload: dict) -> None:
         """Store (or refresh) a payload, evicting LRU rows past the cap."""
-        if self.owns is not None and not self.owns(key):
-            raise MisroutedWriteError(
-                "refusing write for key %s: outside this store's owned"
-                " hash-prefix slice" % key[:16]
-            )
         t = self.table
         text = json.dumps(payload, sort_keys=True)
         with self._lock:
@@ -251,4 +224,4 @@ class DiskCache:
         self.close()
 
 
-__all__ = ["DiskCache", "MisroutedWriteError"]
+__all__ = ["DiskCache"]

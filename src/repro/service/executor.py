@@ -37,6 +37,7 @@ Test hooks (both gated on environment variables, inert otherwise):
 
 import multiprocessing
 import os
+import signal
 import time
 from collections import deque
 from fractions import Fraction
@@ -275,6 +276,13 @@ def execute_request(req: JobRequest) -> dict:
 
 def _worker_main(req_json: dict, conn, budget: Optional[int]) -> None:
     """Worker entry point: run one job, send one (status, dict) pair."""
+    # A forked worker inherits the serve daemon's asyncio signal
+    # handling: run_jobs' timeout SIGTERM would only reach the daemon's
+    # wakeup fd (draining the daemon) while the worker ignores it until
+    # the SIGKILL a second later.  Restore the default dispositions.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     req = JobRequest.from_json(req_json)
     for env_var, action in (
         ("REPRO_SERVICE_POISON", "die"),

@@ -279,6 +279,67 @@ class TestCoalescing:
         assert snap["counters"]["cold_jobs"] == 1
 
 
+class TestWarmMap:
+    def test_repeat_skips_the_store_and_matches_it(self, tmp_path, monkeypatch):
+        """Settled bodies answer repeats from memory: after a stored
+        cold result, and after a store hit in a fresh daemon, a repeat
+        costs no second DiskCache.get, and the answer is byte-identical
+        to the store-served one modulo volatile keys."""
+        from repro.service.diskcache import DiskCache
+
+        gets = []
+        real_get = DiskCache.get
+
+        def counting_get(cache, key):
+            gets.append(key)
+            return real_get(cache, key)
+
+        monkeypatch.setattr(DiskCache, "get", counting_get)
+
+        async def two_requests(daemon):
+            first = await daemon.handle(VARIANTS[0])
+            repeat = await daemon.handle(VARIANTS[1])
+            return first, repeat
+
+        cold, from_cold = run_scenario(two_requests, tmp_path)
+        assert len(gets) == 1  # the cold miss only
+        del gets[:]
+        from_store, from_hit = run_scenario(two_requests, tmp_path)
+        assert len(gets) == 1  # the store hit only
+        assert cold["tier"] == "cold" and from_store["cached"] is True
+        for r in (from_cold, from_store, from_hit):
+            assert r["tier"] == "warm"
+        bodies = set()
+        for r in (cold, from_cold, from_store, from_hit):
+            body = stable(r)
+            body.pop("id")
+            bodies.add(json.dumps(body, sort_keys=True))
+        assert len(bodies) == 1
+
+    def test_failed_cold_outcome_is_not_remembered(self, tmp_path):
+        calls = []
+
+        def failing(req, budget):
+            calls.append(req.id)
+            return {
+                "ok": False,
+                "error": {"kind": "timeout", "message": "too slow"},
+                "wall_ms": 1.0,
+                "attempts": 1,
+            }
+
+        async def scenario(daemon):
+            daemon._run_cold = failing
+            first = await daemon.handle(COUNT_IJ)
+            second = await daemon.handle(COUNT_IJ)
+            return first, second, len(daemon._bodies)
+
+        first, second, remembered = run_scenario(scenario, tmp_path)
+        assert first["tier"] == second["tier"] == "cold"
+        assert not second["ok"] and len(calls) == 2
+        assert remembered == 0
+
+
 class TestAdmission:
     def test_queue_full_sheds_with_structured_error(self, tmp_path):
         fake = FakeCold()
@@ -394,9 +455,15 @@ class TestEvaluateArtifacts:
         import repro.serve.daemon as daemon_mod
 
         monkeypatch.setattr(daemon_mod, "ARTIFACT_CAP", 8)
+        fake = FakeCold()
 
         async def scenario(daemon):
+            daemon._run_cold = fake
             for k in range(20):
+                await daemon.handle(
+                    dict(COUNT_IJ, id=k, formula="1 <= i <= n + %d" % k,
+                         over=["i"])
+                )
                 daemon._remember_artifact(
                     JobRequest(
                         "evaluate",
@@ -411,9 +478,11 @@ class TestEvaluateArtifacts:
                         "exactness": "exact",
                     },
                 )
-            return len(daemon._artifacts)
+            return len(daemon._artifacts), len(daemon._bodies)
 
-        assert run_scenario(scenario, tmp_path) <= 8
+        artifacts, bodies = run_scenario(scenario, tmp_path)
+        assert fake.calls == 20
+        assert artifacts <= 8 and bodies == 8
 
 
 class TestLifecycle:

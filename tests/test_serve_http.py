@@ -1,6 +1,7 @@
 """Wire front ends: HTTP routes, JSONL socket, drain-on-SIGTERM."""
 
 import asyncio
+import http.client
 import json
 import os
 import signal
@@ -247,25 +248,40 @@ class TestJsonlFrontend:
         assert response["error"]["kind"] == "bad_request"
 
 
+def start_serve(tmp_path, **env_extra):
+    """``python -m repro serve`` on an ephemeral port, logging to a pipe."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1", **env_extra)
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro",
+            "serve",
+            "--http-port",
+            "0",
+            "--cache",
+            str(tmp_path / "serve.sqlite"),
+        ],
+        stderr=subprocess.PIPE,
+        cwd=str(tmp_path),
+        env=env,
+    )
+
+
+def post_job(port, job):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request("POST", "/job", json.dumps(job))
+        reply = conn.getresponse()
+        return reply.status, json.loads(reply.read())
+    finally:
+        conn.close()
+
+
 class TestServeProcess:
     def test_sigterm_drains_cleanly(self, tmp_path):
         """The CLI daemon must exit 0 on SIGTERM after a clean drain."""
-        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "serve",
-                "--http-port",
-                "0",
-                "--cache",
-                str(tmp_path / "serve.sqlite"),
-            ],
-            stderr=subprocess.PIPE,
-            cwd=str(tmp_path),
-            env=env,
-        )
+        proc = start_serve(tmp_path)
         try:
             ready = proc.stderr.readline().decode()
             assert "listening on http://127.0.0.1:" in ready
@@ -278,3 +294,34 @@ class TestServeProcess:
         assert code == 0
         assert "draining" in out
         assert "drained; 0 requests" in out
+
+    def test_worker_timeout_does_not_drain_the_daemon(self, tmp_path):
+        """Killing a timed-out cold worker must not signal the daemon:
+        the daemon answers 504, keeps serving, and drains only on its
+        own SIGTERM."""
+        proc = start_serve(tmp_path, REPRO_SERVICE_SLEEP="zzz")
+        try:
+            ready = proc.stderr.readline().decode()
+            port = int(ready.rsplit(":", 1)[1])
+            status, slow = post_job(
+                port,
+                {
+                    "id": "slow",
+                    "kind": "count",
+                    "formula": "0 <= zzz <= 3",
+                    "over": ["zzz"],
+                    "timeout": 1,
+                },
+            )
+            assert status == 504 and slow["error"]["kind"] == "timeout"
+            status, fine = post_job(port, COUNT_IJ)
+            assert status == 200 and fine["points"][0]["value"] == 45
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGTERM)
+            out = proc.stderr.read().decode()
+            code = proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup
+                proc.kill()
+        assert code == 0
+        assert "drained; 2 requests" in out

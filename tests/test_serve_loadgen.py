@@ -143,6 +143,8 @@ class TestRunInprocess:
         # everything else warm or coalesced.
         assert summary["serve"]["counters"]["cold_jobs"] == 1
         assert len(records) == 12
+        assert summary["fleet"]["duplicate_computations"] == 0
+        assert summary["fleet"]["distinct_cold_hashes"] == 1
 
 
 class TestCLI:
@@ -166,3 +168,31 @@ class TestCLI:
         assert doc["requests"] == 8 and doc["errors"] == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed == doc
+
+    @pytest.mark.parametrize("no_cache, expected", [(False, 0), (True, 1)])
+    def test_assert_no_duplicates(self, tmp_path, capsys, no_cache, expected):
+        """With a store every hash computes once; without one, repeats
+        arriving after their first computation settled recompute, and
+        the flag turns that into exit 1."""
+        args = [
+            "loadgen",
+            "--requests",
+            "48",
+            "--clients",
+            "4",
+            "--rename-mix",
+            "0.5",
+            "--seed",
+            "0",
+            "--assert-no-duplicates",
+            "--cache",
+            str(tmp_path / "lg.sqlite"),
+        ]
+        if no_cache:
+            args.append("--no-cache")
+        code = main(args)
+        captured = capsys.readouterr()
+        duplicates = json.loads(captured.out)["fleet"]["duplicate_computations"]
+        assert code == expected
+        assert (duplicates > 0) == no_cache
+        assert ("cold-computed more than once" in captured.err) == no_cache

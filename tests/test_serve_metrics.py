@@ -12,7 +12,6 @@ from repro.serve.metrics import (
     ServeMetrics,
     TIERS,
     merge_latency_snapshots,
-    merge_serve_snapshots,
 )
 
 
@@ -73,9 +72,9 @@ def _random_samples(rng, n):
 
 
 class TestMergeLatencySnapshots:
-    """The /stats merge bug class: aggregation must be associative and
-    must equal one histogram that saw the union stream, or the router's
-    fleet-wide p50/p99 silently lies."""
+    """The merge bug class: aggregation must be associative and must
+    equal one histogram that saw the union stream, or a merged p50/p99
+    silently lies."""
 
     def test_merge_equals_union_histogram(self):
         rng = random.Random(7)
@@ -127,53 +126,6 @@ class TestMergeLatencySnapshots:
         # Position unknown -> the open tail bucket, quantile = max.
         assert merged["buckets"][-1] == 5
         assert merged["p99_ms"] == 4.0
-
-    def test_serve_snapshot_merge_is_associative(self):
-        rng = random.Random(3)
-        snaps = []
-        for k in range(3):
-            m = ServeMetrics()
-            m.bump("requests", rng.randrange(1, 50))
-            m.bump("cold_jobs", rng.randrange(0, 20))
-            m.bump("warm_hits", rng.randrange(0, 20))
-            for ms in _random_samples(rng, 25):
-                m.observe(rng.choice(TIERS), ms)
-            m.queue_probe = (lambda k=k: k)
-            snaps.append(m.snapshot())
-        a, b, c = snaps
-
-        def strip(doc):
-            doc = dict(doc)
-            # uptime is wall-clock (max, not sum) and merged_from is
-            # merge-tree-shaped; neither claims associativity.  Raw
-            # totals (and the mean derived from them) are summed in
-            # different orders, so they compare separately to within
-            # float tolerance.
-            doc.pop("uptime_seconds", None)
-            doc.pop("merged_from", None)
-            doc["tiers"] = {
-                tier: {
-                    k: v
-                    for k, v in hist.items()
-                    if k not in ("total_ms", "mean_ms")
-                }
-                for tier, hist in doc["tiers"].items()
-            }
-            return doc
-
-        nested = merge_serve_snapshots([merge_serve_snapshots([a, b]), c])
-        flat = merge_serve_snapshots([a, b, c])
-        assert strip(nested) == strip(flat)
-        for tier in TIERS:
-            assert nested["tiers"][tier]["total_ms"] == pytest.approx(
-                flat["tiers"][tier]["total_ms"]
-            )
-        assert flat["queue_depth"] == 0 + 1 + 2
-        assert flat["counters"]["requests"] == sum(
-            s["counters"]["requests"] for s in snaps
-        )
-        # Hit rates re-derive from merged counters, same rule as live.
-        assert set(flat["hit_rates"]) == {"warm", "coalesced", "cold"}
 
 
 class TestServeMetrics:
