@@ -16,7 +16,7 @@ provides:
   Steps 1-4).
 """
 
-from typing import List, Optional
+from typing import Callable, List, Optional, Set
 
 from repro.omega.affine import Affine
 from repro.omega.constraints import Constraint, fresh_var
@@ -181,6 +181,88 @@ def _overlap(a: Conjunct, b: Conjunct) -> bool:
     return satisfiable(a.merge(b))
 
 
+def _overlap_graph(
+    clauses: List[Conjunct],
+    charge: Optional[Callable[[Conjunct, Conjunct], None]] = None,
+) -> List[Set[int]]:
+    """Adjacency sets of the overlap graph: ``j in adj[i]`` when
+    clauses ``i`` and ``j`` share a point.  ``charge`` is called on
+    each pair before its overlap test."""
+    adj: List[Set[int]] = [set() for _ in clauses]
+    for i in range(len(clauses)):
+        for j in range(i + 1, len(clauses)):
+            if charge is not None:
+                charge(clauses[i], clauses[j])
+            if _overlap(clauses[i], clauses[j]):
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj
+
+
+def _components(adj: List[Set[int]]) -> List[List[int]]:
+    """Connected components, ordered by least vertex, members ascending.
+
+    The order is part of the output contract: it fixes the order of
+    the disjoint clauses, and so the printed answer."""
+    seen = [False] * len(adj)
+    components: List[List[int]] = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        members = []
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        components.append(sorted(members))
+    return components
+
+
+def _articulation_points(adj: List[Set[int]]) -> List[int]:
+    """Vertices whose removal splits their component, ascending.
+
+    Hopcroft-Tarjan low points over an explicit depth-first stack, so
+    a long path cannot hit the interpreter's recursion limit."""
+    n = len(adj)
+    disc = [-1] * n  # discovery time; -1 = not yet visited
+    low = [0] * n
+    points: Set[int] = set()
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        root_children = 0
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, neighbours = stack[-1]
+            for w in neighbours:
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent:
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if parent == root:
+                    root_children += 1
+                elif parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        points.add(parent)
+        if root_children > 1:
+            points.add(root)
+    return sorted(points)
+
+
 def disjointify(
     clauses: List[Conjunct],
     budget: int = 50000,
@@ -245,18 +327,8 @@ def disjointify(
         kept.append(c)
 
     # Step 2: connected components of the overlap graph.
-    import networkx as nx
-
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(kept)))
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            charge_pair(kept[i], kept[j])
-            if _overlap(kept[i], kept[j]):
-                graph.add_edge(i, j)
-
     result: List[Conjunct] = []
-    for component in nx.connected_components(graph):
+    for component in _components(_overlap_graph(kept, charge_pair)):
         remaining = [kept[i] for i in component]
         while remaining:
             meter.charge()
@@ -283,17 +355,11 @@ def disjointify(
 
 
 def _pick_extraction(remaining: List[Conjunct]) -> int:
-    """Step 3 heuristics: articulation point, then fewest constraints."""
-    if len(remaining) > 2:
-        import networkx as nx
+    """Step 3 heuristics: articulation point, then fewest constraints.
 
-        graph = nx.Graph()
-        graph.add_nodes_from(range(len(remaining)))
-        for i in range(len(remaining)):
-            for j in range(i + 1, len(remaining)):
-                if _overlap(remaining[i], remaining[j]):
-                    graph.add_edge(i, j)
-        articulation = set(nx.articulation_points(graph))
+    Ties go to the least index."""
+    if len(remaining) > 2:
+        articulation = _articulation_points(_overlap_graph(remaining))
         if articulation:
             return min(
                 articulation, key=lambda i: len(remaining[i].constraints)

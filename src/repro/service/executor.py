@@ -41,6 +41,7 @@ import signal
 import time
 from collections import deque
 from fractions import Fraction
+from multiprocessing.connection import wait
 from typing import List, Optional, Sequence
 
 from repro.core import Strategy, SumOptions, count, stats, sum_poly
@@ -336,15 +337,18 @@ def _worker_main(req_json: dict, conn, budget: Optional[int]) -> None:
 
 
 class _Running:
-    __slots__ = ("proc", "conn", "index", "req", "started", "attempt")
+    __slots__ = (
+        "proc", "conn", "index", "req", "started", "attempt", "timeout"
+    )
 
-    def __init__(self, proc, conn, index, req, attempt):
+    def __init__(self, proc, conn, index, req, attempt, timeout):
         self.proc = proc
         self.conn = conn
         self.index = index
         self.req = req
         self.started = time.monotonic()
         self.attempt = attempt
+        self.timeout = timeout
 
 
 def run_jobs(
@@ -352,7 +356,6 @@ def run_jobs(
     workers: int = 1,
     default_timeout: Optional[float] = None,
     default_budget: Optional[int] = None,
-    poll_interval: float = 0.005,
     on_outcome=None,
 ) -> List[dict]:
     """Run jobs on a bounded pool; one outcome dict per request, in order.
@@ -416,15 +419,15 @@ def run_jobs(
             proc.daemon = True
             proc.start()
             child_conn.close()
-            running.append(_Running(proc, parent_conn, index, req, attempt))
+            timeout = (
+                req.timeout if req.timeout is not None else default_timeout
+            )
+            running.append(
+                _Running(proc, parent_conn, index, req, attempt, timeout)
+            )
 
         progressed = False
         for slot in list(running):
-            timeout = (
-                slot.req.timeout
-                if slot.req.timeout is not None
-                else default_timeout
-            )
             if slot.conn.poll():
                 try:
                     status, payload = slot.conn.recv()
@@ -448,8 +451,8 @@ def run_jobs(
                 crashed(slot)
                 progressed = True
             elif (
-                timeout is not None
-                and time.monotonic() - slot.started > timeout
+                slot.timeout is not None
+                and time.monotonic() - slot.started > slot.timeout
             ):
                 slot.proc.terminate()
                 slot.proc.join(1.0)
@@ -463,13 +466,26 @@ def run_jobs(
                         "error": {
                             "kind": TIMEOUT,
                             "message": "job exceeded its %.3fs wall-clock timeout"
-                            % timeout,
+                            % slot.timeout,
                         },
                     },
                 )
                 progressed = True
         if not progressed:
-            time.sleep(poll_interval)
+            # Block until a result arrives, a worker exits or the
+            # nearest deadline passes.
+            deadlines = [
+                slot.started + slot.timeout
+                for slot in running
+                if slot.timeout is not None
+            ]
+            wait(
+                [slot.conn for slot in running]
+                + [slot.proc.sentinel for slot in running],
+                max(0.0, min(deadlines) - time.monotonic())
+                if deadlines
+                else None,
+            )
     return outcomes
 
 
