@@ -38,6 +38,10 @@ identifier can occupy:
 
 (The satisfiability cache's key uses ``"\\x00"`` and the pass-one mask
 is ``"\\x01"``; the namespaces are deliberately disjoint.)
+
+The memo gates the conjunct key on :func:`conjunct_fingerprint`, a
+name-free summary built from the same pass-one constraint descriptors
+without any refinement; equal keys always give equal fingerprints.
 """
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -322,6 +326,19 @@ def _shape_all(expr: Affine) -> str:
     return "%s+%d" % (masked, expr.const)
 
 
+def _constraint_shape(c) -> str:
+    """Pass-one descriptor of one conjunct constraint.
+
+    Every name is masked; an EQ takes the smaller of its two
+    orientations, since ``e = 0`` and ``-e = 0`` are one constraint.
+    """
+    if c.is_eq():
+        shape = min(_shape_all(c.expr), _shape_all(-c.expr))
+    else:
+        shape = _shape_all(c.expr)
+    return "a(%s,%s)" % (c.kind, shape)
+
+
 def _poly_marks(poly: Polynomial, marks: Dict[str, List[str]]) -> None:
     """Role marks recording how each variable occurs in the summand.
 
@@ -374,15 +391,10 @@ def canonical_conjunct_key(
     it yields a correct answer for the other.
     """
     bound = set(cvars) | set(conj.wildcards)
-    atoms: List[Tuple[str, List[Tuple[str, int]], bool]] = []
-    for c in conj.constraints:
-        if c.is_eq():
-            shape = min(_shape_all(c.expr), _shape_all(-c.expr))
-        else:
-            shape = _shape_all(c.expr)
-        atoms.append(
-            ("a(%s,%s)" % (c.kind, shape), list(c.expr.coeffs), c.is_eq())
-        )
+    atoms: List[Tuple[str, List[Tuple[str, int]], bool]] = [
+        (_constraint_shape(c), list(c.expr.coeffs), c.is_eq())
+        for c in conj.constraints
+    ]
     marks: Dict[str, List[str]] = {}
     for v in cvars:
         marks.setdefault(v, []).append("c")
@@ -435,8 +447,40 @@ def canonical_conjunct_key(
     return key, names, back
 
 
+def conjunct_fingerprint(
+    conj: Conjunct,
+    cvars: Sequence[str],
+    poly: Polynomial,
+    mode: str = "",
+) -> tuple:
+    """A cheap name-free summary of :func:`canonical_conjunct_key`.
+
+    The mode, the numbers of summation variables and wildcards, the
+    sorted pass-one constraint descriptors and the sorted summand
+    coefficients.  Each part can be read off the key, so equal keys
+    give equal fingerprints; the converse fails (the fingerprint
+    forgets which variables co-occur).  It costs one mask per
+    constraint and no refinement, which makes it the answer memo's
+    gate: a node whose fingerprint has never been seen cannot have a
+    stored key.
+    """
+    return (
+        mode,
+        len(cvars),
+        len(conj.wildcards),
+        tuple(sorted(_constraint_shape(c) for c in conj.constraints)),
+        # Integer pairs, not Fractions: hashing and comparing a memo
+        # key must run no Python code, or another thread can mutate the
+        # memo's OrderedDict in the middle of an operation on it.
+        tuple(
+            sorted((c.numerator, c.denominator) for c in poly.terms.values())
+        ),
+    )
+
+
 __all__ = [
     "FREE_PREFIX",
     "canonical_conjunct_key",
     "canonical_formula_key",
+    "conjunct_fingerprint",
 ]

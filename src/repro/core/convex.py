@@ -79,6 +79,21 @@ def sum_over_conjunct(
     return terms, ctx.exactness
 
 
+def _memo_mode(opts: SumOptions) -> str:
+    """The answer-memo mode of a ``_sum`` node under ``opts``.
+
+    It folds in every option that can change the answer: the strategy,
+    redundancy removal, and the residue-split cap (a larger cap can
+    answer where a smaller one raises ``UnboundedSumError``, so they
+    must not share entries).
+    """
+    return "sum:%s:%d:%d" % (
+        opts.strategy.value,
+        1 if opts.remove_redundant else 0,
+        opts.max_residue_split,
+    )
+
+
 def _sum(
     conj: Conjunct,
     cvars: Tuple[str, ...],
@@ -88,20 +103,19 @@ def _sum(
 ) -> List[Term]:
     """Memo shell around :func:`_sum_inner` (see repro.core.memo).
 
-    Every node with summation variables is looked up in (and stored
-    to) the answer memo under its alpha-invariant canonical key; base
-    cases (no ``cvars``) return immediately and are cheaper than the
-    key they would be filed under.  The per-node exactness delta rides
-    along in the entry through a child context, so a hit degrades the
-    caller's exactness exactly as recomputing would.  Only the *root*
-    node of a ``sum_over_conjunct`` call touches the persistent layer.
+    Every node with summation variables is looked up in (and filed
+    to) the answer memo; base cases (no ``cvars``) return immediately
+    and are cheaper than the lookup.  The per-node exactness delta
+    rides along in the entry through a child context, so a hit
+    degrades the caller's exactness exactly as recomputing would.
+    Only the *root* node of a ``sum_over_conjunct`` call touches the
+    persistent layer.
     """
     if not cvars or not memo.answer_memo_enabled():
         return _sum_inner(conj, cvars, z, ctx)
-    key, names, back = memo.node_key(conj, cvars, z, ctx.opts)
-    hit = memo.fetch(key, back, probe_disk=root)
-    if hit is not None:
-        terms, (upper, lower) = hit
+    found, ticket = memo.lookup(conj, cvars, z, _memo_mode(ctx.opts), root)
+    if found is not None:
+        terms, (upper, lower) = found
         ctx.inexact_upper |= upper
         ctx.inexact_lower |= lower
         return terms
@@ -109,13 +123,7 @@ def _sum(
     terms = _sum_inner(conj, cvars, z, child)
     ctx.inexact_upper |= child.inexact_upper
     ctx.inexact_lower |= child.inexact_lower
-    memo.store(
-        key,
-        names,
-        terms,
-        (child.inexact_upper, child.inexact_lower),
-        persist_disk=root,
-    )
+    memo.remember(ticket, terms, (child.inexact_upper, child.inexact_lower))
     return terms
 
 
@@ -256,7 +264,7 @@ def _eliminate_one_wildcard(
 ) -> Optional[List[Term]]:
     cset = set(cvars)
     target = None
-    for w in conj.wildcards:
+    for w in sorted(conj.wildcards):
         if conj.is_stride_wildcard(w):
             continue
         hits = conj.constraints_on(w)

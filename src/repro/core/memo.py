@@ -1,20 +1,39 @@
 """The answer memo: a hash-consed conjunct -> SymbolicSum cache.
 
-Splintering, residue-class enumeration and disjoint-DNF expansion
-generate *structurally identical* subproblems over and over; before
-this module the only reuse above the satisfiability layer was the
-per-instance ``normalize()`` memo.  The answer memo caches the full
-answer ``(terms, exactness)`` of every internal node of the counting
-recursion (:func:`repro.core.convex._sum`), keyed by an
-alpha-invariant canonical form of ``(conjunct, bound vars, mode,
-polynomial)`` built by :func:`repro.core.canon.canonical_conjunct_key`.
+The memo caches the full answer ``(terms, exactness)`` of a node of
+the counting recursion (:func:`repro.core.convex._sum`) and the piece
+list of an exact elimination
+(:func:`repro.omega.eliminate.eliminate_exact` and its disjoint
+sibling), keyed by an alpha-invariant canonical form of ``(conjunct,
+bound vars, mode, polynomial)`` built by
+:func:`repro.core.canon.canonical_conjunct_key`.  Both clients go
+through one :func:`lookup` / :func:`remember` pair.
 
-Design points:
+Where the hits are.  Structurally identical subproblems recur less
+than the recursion's shape suggests.  In one ``nest-analysis`` round
+of the repository benchmark (seed 111, five queries per loop nest),
+407 lookups give 27 hits, every one a root that a later query of the
+same nest asks again: 27 of 65 roots, 0 of 296 inner ``_sum`` nodes,
+0 of 46 eliminations.  Over the first 300 ``perfbench/cold_cases.json``
+cases, with the memo cleared per case, inner lookups hit 2 of 743
+times and roots 0 of 333.  Keying every node by signature refinement
+cost about a third of a nest round, so lookups are gated:
 
+* **Fingerprint gate.**  A lookup first computes
+  :func:`repro.core.canon.conjunct_fingerprint` (mode, variable and
+  wildcard counts, masked constraint shapes, summand coefficients).
+  Equal keys give equal fingerprints, so a fingerprint never seen
+  before cannot match a stored key: the lookup counts a miss, and the
+  computed answer is kept *raw* under the fingerprint (constraint
+  tuples and a private copy of the answer -- no key, no renaming).
+  The next lookup with that fingerprint first keys its pending raw
+  nodes into the table, then takes the keyed path itself (key, fetch,
+  store).  Below the capacity, hits and misses are exactly those of
+  keying every node; only nodes whose shape recurs pay for a key.
 * **Rename on hit.**  Keys rename bound variables into the ``"\\x02"``
   namespace and free symbols into ``"\\x03"``; entries store the
-  answer terms in that canonical vocabulary.  A hit translates them
-  back through the caller's own names (the recorded free-symbol
+  answer in that canonical vocabulary.  A hit translates it back
+  through the caller's own names (the recorded free-symbol
   permutation), so structurally identical nodes share one entry no
   matter what their variables are called.  Wildcards *minted during*
   the cached computation keep their original fresh names; if one
@@ -25,39 +44,48 @@ Design points:
 * **Soundness.**  The key is a complete serialization, so equal keys
   imply an isomorphism of nodes; renaming a correct answer through an
   isomorphism yields a correct answer.  Every option that can change
-  an answer (strategy, redundancy removal, the residue-split cap) is
-  folded into the key's mode string, and failures (unbounded sums,
-  budget exhaustion) are never cached.
+  an answer (strategy, redundancy removal, the residue-split cap, the
+  disjointification budget) is folded into the key's mode string, and
+  failures (unbounded sums, budget exhaustion) are never cached.
 * **Fresh results.**  Hits return freshly built terms -- new guard
   conjuncts, new value polynomials -- so callers mutating a returned
   answer (``Polynomial.terms`` is an exposed dict) cannot poison the
   cache.
-* **Bounded + instrumented.**  An ``OrderedDict`` LRU capped by
-  :func:`set_answer_memo` (``REPRO_ANSWER_MEMO`` presets it; ``0`` or
-  ``off`` disables), with ``answer_memo_hits / misses / evictions /
-  renames`` counters and occupancy in ``stats.engine_snapshot()``.
+* **Bounded + instrumented.**  One ``OrderedDict`` LRU holds keyed
+  answers, keyed pieces and fingerprint records (each with its
+  pending raw nodes), at most :func:`set_answer_memo` items in all
+  (``REPRO_ANSWER_MEMO`` presets it; ``0`` or ``off`` disables).
+  ``answer_memo_hits / misses / evictions / renames`` count every
+  lookup and eviction, and ``stats.engine_snapshot()`` reports the
+  occupancy.
 * **Persistent roots.**  With ``REPRO_ANSWER_DB=path`` set, the memo
   persists the *root* node of every ``sum_over_conjunct`` call to an
   ``answers`` table managed by the service's sqlite LRU layer
   (:class:`repro.service.diskcache.DiskCache`), and probes it on a
   root miss: a warm service run answers whole clauses from disk and
-  skips the recursion entirely.  Per-node persistence would drown in
-  sqlite transactions, and a root hit subsumes its subtree anyway.
+  skips the recursion entirely.  Such roots always take the keyed
+  path.  Per-node persistence would drown in sqlite transactions, and
+  a root hit subsumes its subtree anyway.
 """
 
 import hashlib
 import os
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core import stats
-from repro.core.canon import FREE_PREFIX, canonical_conjunct_key
-from repro.core.options import SumOptions
+from repro.core.canon import (
+    FREE_PREFIX,
+    canonical_conjunct_key,
+    conjunct_fingerprint,
+)
 from repro.core.result import Term
 from repro.omega.constraints import fresh_var
+from repro.omega.problem import Conjunct
 from repro.qpoly import Polynomial
 
-#: Default in-memory capacity (entries, i.e. distinct canonical nodes).
+#: Default in-memory capacity (items: keyed answers, keyed pieces and
+#: fingerprint records together).
 DEFAULT_CAPACITY = 50000
 
 #: Bump when the persisted payload layout changes.
@@ -79,14 +107,21 @@ def _env_capacity() -> int:
 
 _CAPACITY = _env_capacity()
 
-#: key -> (terms in canonical names, (inexact_upper, inexact_lower),
-#:         free-symbol signature used to count cross-vocabulary hits)
-_MEMO: "OrderedDict[str, tuple]" = OrderedDict()
-
-#: key -> (pieces in canonical names, free-symbol signature).  The
-#: sibling table for elimination decompositions (lists of Conjuncts
-#: rather than answer terms); same capacity switch, same counters.
-_PIECES: "OrderedDict[str, tuple]" = OrderedDict()
+#: The one LRU, holding items of two kinds:
+#:
+#: * canonical key (str) -> (payload in canonical names, flags,
+#:   free-symbol signature used to count cross-vocabulary hits); the
+#:   payload is answer terms with flags ``(inexact_upper,
+#:   inexact_lower)``, or elimination pieces with flags ``None``;
+#: * fingerprint (tuple) -> list of raw nodes not keyed yet (empty
+#:   once the fingerprint has recurred).
+#:
+#: The daemon's cold thread pool can reach the memo too.  Keys are
+#: strs and tuples of strs and ints, whose hashing and comparison run
+#: no Python code, so no other thread can run inside an OrderedDict
+#: operation; between operations, every access tolerates an item
+#: vanishing.
+_MEMO: "OrderedDict[object, object]" = OrderedDict()
 
 _DISK = None
 _DISK_PATH: Optional[str] = None
@@ -99,7 +134,8 @@ def set_answer_memo(capacity) -> int:
     """Set the memo capacity; returns the previous one.
 
     ``0`` (or ``False``) disables memoization and drops every entry;
-    ``True`` restores :data:`DEFAULT_CAPACITY`.  Mirrors
+    ``True`` restores :data:`DEFAULT_CAPACITY`.  A smaller capacity
+    evicts least-recently-used items.  Mirrors
     ``repro.evalc.set_compile_enabled`` so tests can A/B the memo.
     """
     global _CAPACITY
@@ -114,12 +150,8 @@ def set_answer_memo(capacity) -> int:
     _CAPACITY = capacity
     if capacity == 0:
         _MEMO.clear()
-        _PIECES.clear()
     else:
-        while len(_MEMO) > capacity:
-            _MEMO.popitem(last=False)
-        while len(_PIECES) > capacity:
-            _PIECES.popitem(last=False)
+        _shrink()
     return previous
 
 
@@ -128,49 +160,31 @@ def answer_memo_enabled() -> bool:
 
 
 def clear_answer_memo() -> None:
-    """Drop every in-memory entry (the persistent store is untouched)."""
+    """Drop every in-memory item (the persistent store is untouched)."""
     _MEMO.clear()
-    _PIECES.clear()
 
 
 def answer_memo_info() -> Dict[str, int]:
     """Occupancy for ``stats.engine_snapshot()``."""
-    return {"size": len(_MEMO) + len(_PIECES), "limit": _CAPACITY}
+    return {"size": len(_MEMO), "limit": _CAPACITY}
 
 
-# -- key construction ----------------------------------------------------
+def _shrink() -> None:
+    """Evict least-recently-used items down to the capacity."""
+    while len(_MEMO) > _CAPACITY:
+        try:
+            _MEMO.popitem(last=False)
+        except KeyError:  # emptied by another thread meanwhile
+            return
+        if stats.ENABLED:
+            stats.bump("answer_memo_evictions")
 
 
-def node_key(
-    conj,
-    cvars: Sequence[str],
-    z: Polynomial,
-    opts: SumOptions,
-) -> Tuple[str, Dict[str, str], Dict[str, str]]:
-    """Canonical key + rename maps for one recursion node.
-
-    The mode string folds in every :class:`SumOptions` field that can
-    change the answer: the strategy, redundancy removal, and the
-    residue-split cap (a larger cap can answer where a smaller one
-    raises ``UnboundedSumError``, so they must not share entries).
-    """
-    mode = "sum:%s:%d:%d" % (
-        opts.strategy.value,
-        1 if opts.remove_redundant else 0,
-        opts.max_residue_split,
-    )
-    return canonical_conjunct_key(conj, cvars, z, mode)
-
-
-def piece_key(
-    conj, var: str, mode: str
-) -> Tuple[str, Dict[str, str], Dict[str, str]]:
-    """Canonical key + rename maps for an elimination decomposition.
-
-    The eliminated variable plays the bound-variable role; the summand
-    slot is pinned to 1 (elimination has no summand).
-    """
-    return canonical_conjunct_key(conj, (var,), Polynomial.one, mode)
+def _insert(key, item) -> None:
+    """Put ``item`` at the most-recently-used end, then evict."""
+    _MEMO.pop(key, None)
+    _MEMO[key] = item
+    _shrink()
 
 
 def _free_signature(back: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
@@ -183,7 +197,10 @@ def _free_signature(back: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
     )
 
 
-# -- term renaming -------------------------------------------------------
+# -- renaming ------------------------------------------------------------
+#
+# A payload is a list of answer Terms (flags is a pair) or a list of
+# elimination pieces, i.e. Conjuncts (flags is None).
 
 
 def _rename_poly(value: Polynomial, mapping: Dict[str, str]) -> Polynomial:
@@ -195,15 +212,17 @@ def _rename_poly(value: Polynomial, mapping: Dict[str, str]) -> Polynomial:
     return Polynomial(dict(value.terms))
 
 
-def _rename_terms(terms: Sequence[Term], mapping: Dict[str, str]) -> List[Term]:
+def _rename(payload: Sequence, mapping: Dict[str, str], flags) -> list:
+    if flags is None:
+        return [piece.rename(mapping) for piece in payload]
     return [
         Term(t.guard.rename(mapping), _rename_poly(t.value, mapping))
-        for t in terms
+        for t in payload
     ]
 
 
-def _rename_back(terms: Sequence[Term], back: Dict[str, str]) -> List[Term]:
-    """Translate stored canonical terms into the caller's vocabulary.
+def _rename_back(payload: Sequence, back: Dict[str, str], flags) -> list:
+    """Translate a stored canonical payload into the caller's vocabulary.
 
     Capture guard: a wildcard minted during the cached computation
     keeps its stored fresh name; if that name collides with one of the
@@ -212,11 +231,36 @@ def _rename_back(terms: Sequence[Term], back: Dict[str, str]) -> List[Term]:
     """
     targets = set(back.values())
     mapping = dict(back)
-    for t in terms:
-        for w in t.guard.wildcards:
+    for item in payload:
+        conj = item if flags is None else item.guard
+        for w in sorted(conj.wildcards):
             if w not in mapping and w in targets:
                 mapping[w] = fresh_var("r")
-    return _rename_terms(terms, mapping)
+    return _rename(payload, mapping, flags)
+
+
+def _raw_copy(payload: Sequence, flags) -> tuple:
+    """A lean private copy of a computed payload for a pending node.
+
+    Constraint tuples rather than the Conjuncts themselves, which
+    carry normalize and row caches; a copied coefficient dict because
+    ``Polynomial.terms`` is exposed to callers.
+    """
+    if flags is None:
+        return tuple((p.constraints, p.wildcards) for p in payload)
+    return tuple(
+        (t.guard.constraints, t.guard.wildcards, dict(t.value.terms))
+        for t in payload
+    )
+
+
+def _from_raw(raw: tuple, flags) -> list:
+    if flags is None:
+        return [Conjunct(cons, wilds) for cons, wilds in raw]
+    return [
+        Term(Conjunct(cons, wilds), Polynomial(terms))
+        for cons, wilds, terms in raw
+    ]
 
 
 # -- the persistent root layer -------------------------------------------
@@ -289,50 +333,120 @@ def _disk_persist(key: str, canonical_terms: Sequence[Term], flags) -> None:
         pass  # persistence is best-effort; never fail the computation
 
 
-# -- lookup / store ------------------------------------------------------
+# -- lookup / remember ---------------------------------------------------
 
 
-def fetch(
-    key: str, back: Dict[str, str], probe_disk: bool = False
-) -> Optional[Tuple[List[Term], Tuple[bool, bool]]]:
-    """The cached answer renamed into the caller's names, or None.
+def lookup(
+    conj: Conjunct,
+    cvars: Sequence[str],
+    poly: Polynomial,
+    mode: str,
+    root: bool = False,
+):
+    """Look one node up; returns ``(found, ticket)``.
 
-    ``probe_disk`` extends a memory miss to the persistent root layer
-    (set only for root nodes; see the module docstring).
+    ``found`` is ``(payload, flags)`` renamed into the caller's names,
+    or None on a miss.  After a miss the caller computes the node and
+    passes ``ticket`` to :func:`remember`.  ``mode`` folds in every
+    option that can change the answer; ``root`` marks the root of a
+    ``sum_over_conjunct`` call, the only node that probes and persists
+    to the ``REPRO_ANSWER_DB`` store.
+    """
+    fp = conjunct_fingerprint(conj, cvars, poly, mode)
+    persist = root and _disk_store() is not None
+    pending = _MEMO.get(fp)
+    if pending is None and not persist:
+        # First sighting: no stored key can match.
+        if stats.ENABLED:
+            stats.bump("answer_memo_misses")
+        # Snapshot the summand's terms: Polynomial.terms is exposed,
+        # and a caller mutating its summand later must not change
+        # the node this answer is keyed under.
+        node = (
+            conj.constraints,
+            conj.wildcards,
+            tuple(cvars),
+            tuple(poly.terms.items()),
+            mode,
+        )
+        return None, (fp, node, None)
+    _insert(fp, [])
+    for node in pending or ():
+        _promote(*node)
+    key, names, back = canonical_conjunct_key(conj, cvars, poly, mode)
+    found = _fetch(key, back, persist)
+    if found is not None:
+        return found, None
+    return None, (fp, None, (key, names, persist))
+
+
+def remember(ticket, payload: Sequence, flags=None) -> None:
+    """File the payload computed after a missed :func:`lookup`.
+
+    ``flags`` is the ``(inexact_upper, inexact_lower)`` pair of a
+    ``_sum`` node, and None for elimination pieces.
+    """
+    if _CAPACITY == 0:
+        return
+    fp, node, keyed = ticket
+    if keyed is not None:
+        key, names, persist = keyed
+        _store(key, names, payload, flags, persist)
+        return
+    raw = node + (_raw_copy(payload, flags), flags)
+    pending = _MEMO.get(fp)
+    if pending is not None:
+        # The shape recurred while this node was computed; the next
+        # sighting keys this node too.
+        pending.append(raw)
+    else:
+        _insert(fp, [raw])
+
+
+def _promote(constraints, wildcards, cvars, terms, mode, raw, flags) -> None:
+    """Key a pending raw node and store it as :func:`remember` would."""
+    key, names, _ = canonical_conjunct_key(
+        Conjunct(constraints, wildcards), cvars, Polynomial(dict(terms)), mode
+    )
+    _store(key, names, _from_raw(raw, flags), flags, False)
+
+
+def _fetch(key: str, back: Dict[str, str], probe_disk: bool):
+    """The stored payload renamed into the caller's names, or None.
+
+    ``probe_disk`` extends a memory miss to the persistent root layer.
     """
     entry = _MEMO.get(key)
     if entry is None and probe_disk:
         found = _disk_fetch(key)
         if found is not None:
-            canonical_terms, flags = found
-            entry = (canonical_terms, flags, _free_signature(back))
-            _MEMO[key] = entry
-            while len(_MEMO) > _CAPACITY:
-                _MEMO.popitem(last=False)
+            entry = found + (_free_signature(back),)
+            _insert(key, entry)
     if entry is None:
         if stats.ENABLED:
             stats.bump("answer_memo_misses")
         return None
-    _MEMO.move_to_end(key)
-    canonical_terms, flags, stored_sig = entry
+    try:
+        _MEMO.move_to_end(key)
+    except KeyError:  # evicted by another thread meanwhile
+        pass
+    payload, flags, stored_sig = entry
     if stats.ENABLED:
         stats.bump("answer_memo_hits")
         if stored_sig != _free_signature(back):
             stats.bump("answer_memo_renames")
-    return _rename_back(canonical_terms, back), flags
+    return _rename_back(payload, back, flags), flags
 
 
-def store(
+def _store(
     key: str,
     names: Dict[str, str],
-    terms: Sequence[Term],
-    flags: Tuple[bool, bool],
-    persist_disk: bool = False,
+    payload: Sequence,
+    flags,
+    persist: bool,
 ) -> None:
-    """Record a freshly computed node answer under its canonical key."""
-    if _CAPACITY == 0:
-        return
-    canonical_terms = tuple(_rename_terms(terms, names))
+    """Record a computed payload under its canonical key."""
+    canonical = tuple(_rename(payload, names, flags))
     back_sig = tuple(
         sorted(
             (canon, orig)
@@ -340,61 +454,9 @@ def store(
             if canon.startswith(FREE_PREFIX)
         )
     )
-    _MEMO[key] = (canonical_terms, flags, back_sig)
-    _MEMO.move_to_end(key)
-    while len(_MEMO) > _CAPACITY:
-        _MEMO.popitem(last=False)
-        if stats.ENABLED:
-            stats.bump("answer_memo_evictions")
-    if persist_disk:
-        _disk_persist(key, canonical_terms, flags)
-
-
-def fetch_pieces(key: str, back: Dict[str, str]) -> Optional[list]:
-    """A cached elimination decomposition in the caller's names, or None.
-
-    Conjuncts are immutable, so the renamed pieces can share structure
-    with the entry; the same capture guard as :func:`fetch` protects
-    wildcards minted during the cached elimination.
-    """
-    entry = _PIECES.get(key)
-    if entry is None:
-        if stats.ENABLED:
-            stats.bump("answer_memo_misses")
-        return None
-    _PIECES.move_to_end(key)
-    canonical_pieces, stored_sig = entry
-    if stats.ENABLED:
-        stats.bump("answer_memo_hits")
-        if stored_sig != _free_signature(back):
-            stats.bump("answer_memo_renames")
-    targets = set(back.values())
-    mapping = dict(back)
-    for piece in canonical_pieces:
-        for w in piece.wildcards:
-            if w not in mapping and w in targets:
-                mapping[w] = fresh_var("r")
-    return [piece.rename(mapping) for piece in canonical_pieces]
-
-
-def store_pieces(key: str, names: Dict[str, str], pieces: Sequence) -> None:
-    """Record a freshly computed elimination decomposition."""
-    if _CAPACITY == 0:
-        return
-    canonical_pieces = tuple(piece.rename(names) for piece in pieces)
-    back_sig = tuple(
-        sorted(
-            (canon, orig)
-            for orig, canon in names.items()
-            if canon.startswith(FREE_PREFIX)
-        )
-    )
-    _PIECES[key] = (canonical_pieces, back_sig)
-    _PIECES.move_to_end(key)
-    while len(_PIECES) > _CAPACITY:
-        _PIECES.popitem(last=False)
-        if stats.ENABLED:
-            stats.bump("answer_memo_evictions")
+    _insert(key, (canonical, flags, back_sig))
+    if persist:
+        _disk_persist(key, canonical, flags)
 
 
 __all__ = [
@@ -402,11 +464,7 @@ __all__ = [
     "answer_memo_enabled",
     "answer_memo_info",
     "clear_answer_memo",
-    "fetch",
-    "fetch_pieces",
-    "node_key",
-    "piece_key",
+    "lookup",
+    "remember",
     "set_answer_memo",
-    "store",
-    "store_pieces",
 ]

@@ -139,21 +139,20 @@ def eliminate_exact(conj: Conjunct, var: str) -> List[Conjunct]:
     union is exactly ``∃ var . conj``.  Splinter pieces are resolved by
     the equality machinery, which may add fresh wildcards.
 
-    Decompositions are memoized through the answer memo (mode
-    ``elim``): splinter-heavy projections recur on structurally
-    identical subproblems, and a piece-level hit skips the shadow,
-    splinter and equality machinery wholesale.
+    Decompositions go through the answer memo (mode ``elim``): a
+    piece-level hit skips the shadow, splinter and equality machinery
+    wholesale.
     """
     from repro.core import memo
+    from repro.qpoly import Polynomial
 
     if not memo.answer_memo_enabled():
         return _eliminate_exact_inner(conj, var)
-    key, names, back = memo.piece_key(conj, var, "elim")
-    hit = memo.fetch_pieces(key, back)
-    if hit is not None:
-        return hit
+    found, ticket = memo.lookup(conj, (var,), Polynomial.one, "elim")
+    if found is not None:
+        return found[0]
     pieces = _eliminate_exact_inner(conj, var)
-    memo.store_pieces(key, names, pieces)
+    memo.remember(ticket, pieces)
     return pieces
 
 
@@ -209,15 +208,17 @@ def eliminate_exact_disjoint(
     with different budgets must not share entries).
     """
     from repro.core import memo
+    from repro.qpoly import Polynomial
 
     if not memo.answer_memo_enabled():
         return _eliminate_exact_disjoint_inner(conj, var, budget)
-    key, names, back = memo.piece_key(conj, var, "elimdisj:%d" % budget)
-    hit = memo.fetch_pieces(key, back)
-    if hit is not None:
-        return hit
+    found, ticket = memo.lookup(
+        conj, (var,), Polynomial.one, "elimdisj:%d" % budget
+    )
+    if found is not None:
+        return found[0]
     pieces = _eliminate_exact_disjoint_inner(conj, var, budget)
-    memo.store_pieces(key, names, pieces)
+    memo.remember(ticket, pieces)
     return pieces
 
 

@@ -232,7 +232,7 @@ class Conjunct:
     def rename_wildcards(self) -> "Conjunct":
         if not self.wildcards:
             return self
-        mapping = {w: fresh_var("r") for w in self.wildcards}
+        mapping = {w: fresh_var("r") for w in sorted(self.wildcards)}
         return Conjunct(
             (c.rename(mapping) for c in self.constraints), mapping.values()
         )

@@ -1,17 +1,19 @@
 """CLI tests (python -m repro)."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
 
 
@@ -116,6 +118,26 @@ class TestStats:
         )
         assert out.returncode == 0
         assert "sat_calls" in out.stderr
+
+    def test_engine_work_is_independent_of_the_hash_seed(self):
+        # Wildcard sets are frozensets; iterating one in hash order
+        # used to pick a different projection (and different fresh
+        # names) per PYTHONHASHSEED, so the counters moved between runs.
+        formula = (
+            "exists u, v: 1 <= u <= N and 1 <= v <= M + u"
+            " and u <= x <= u + 1 and v <= y <= v + 1"
+        )
+        runs = [
+            run_cli(
+                "count", formula, "--over", "x,y", "--stats",
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+            )
+            for seed in ("0", "3")
+        ]
+        for out in runs:
+            assert out.returncode == 0, out.stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stderr == runs[1].stderr
 
 
 class TestAtErrors:

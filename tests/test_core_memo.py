@@ -8,21 +8,35 @@ counters -- the same way a user would diagnose it.
 
 import json
 import os
+import sys
+import threading
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import count, stats, sum_poly
+from repro.core import count, memo, stats, sum_poly
+from repro.core.canon import canonical_conjunct_key, conjunct_fingerprint
 from repro.core.memo import (
     answer_memo_enabled,
     answer_memo_info,
     clear_answer_memo,
     set_answer_memo,
 )
-from repro.omega.constraints import reset_fresh_counter
+from repro.core.result import Term
+from repro.omega.affine import Affine
+from repro.omega.constraints import Constraint, reset_fresh_counter
+from repro.omega.problem import Conjunct
 from repro.presburger.parser import parse
 from repro.presburger.dnf import to_dnf
+from repro.qpoly import Polynomial
 
 SPLINTERY = "1 <= i <= n and 1 <= j <= m and 3*j <= 2*i + n and 2 | (i + j)"
+
+#: An existential whose count projects ``q`` through the piece memo.
+PIECEWISE = "exists q: 1 <= i <= %d*n and 2*i <= 3*q and 5*q <= 4*n + %d"
+
+
+def _json(result):
+    return json.dumps(result.to_json(), sort_keys=True)
 
 
 def _snap(name):
@@ -150,6 +164,8 @@ class TestBounds:
             with stats.collecting_stats() as counters:
                 for k in range(1, 7):
                     count("1 <= i <= %d*n" % k, ["i"])
+                    # Elimination pieces share the one capacity.
+                    count(PIECEWISE % (k, k), ["i"])
                 assert counters["answer_memo_evictions"] > 0
             info = answer_memo_info()
             assert info["limit"] == 3
@@ -178,6 +194,57 @@ class TestBounds:
             count(SPLINTERY, ["i", "j"])
             assert counters["answer_memo_hits"] == 0
             assert counters["sat_calls"] > 0
+
+
+class TestThreads:
+    def test_threads_sharing_a_small_memo_get_exact_answers(self):
+        """The daemon's cold thread pool can reach the memo.
+
+        Eight threads count through a memo smaller than their working
+        set, with rapid thread switching, so items are evicted between
+        the steps of other threads' lookups.  Nothing may raise (or
+        crash the interpreter: a memo key whose hash runs Python code
+        lets another thread mutate the OrderedDict mid-operation),
+        every answer must equal the memo-off answer, and the capacity
+        must hold.
+        """
+        jobs = [("1 <= i <= %d*n" % k, ["i"]) for k in (1, 2, 3)]
+        jobs.append((PIECEWISE % (1, 1), ["i"]))
+        previous = set_answer_memo(0)
+        try:
+            want = [_json(count(f, over)) for f, over in jobs]
+        finally:
+            set_answer_memo(previous)
+        errors = []
+        wrong = []
+
+        def worker(offset):
+            try:
+                for step in range(60):
+                    index = (offset + step) % len(jobs)
+                    if _json(count(*jobs[index])) != want[index]:
+                        wrong.append(index)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        set_answer_memo(4)
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert answer_memo_info()["size"] <= 4
+        finally:
+            sys.setswitchinterval(interval)
+            set_answer_memo(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert wrong == []
 
 
 class TestPieceMemo:
@@ -230,8 +297,166 @@ class TestPersistence:
         assert count("1 <= i <= n", ["i"]).evaluate({"n": 5}) == 5
 
 
+    def test_disk_probe_insert_counts_its_eviction(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(
+            "REPRO_ANSWER_DB", os.path.join(str(tmp_path), "answers.sqlite")
+        )
+        count("1 <= i <= n", ["i"])  # persisted root
+        clear_answer_memo()
+        previous = set_answer_memo(1)
+        try:
+            count("1 <= i <= 2*n", ["i"])  # fills the one slot
+            with stats.collecting_stats() as counters:
+                count("1 <= i <= n", ["i"])
+                assert counters["answer_memo_hits"] == 1
+                assert counters["answer_memo_evictions"] >= 1
+            assert answer_memo_info()["size"] <= 1
+        finally:
+            set_answer_memo(previous)
+
+
 def _raise_oserror(*args, **kwargs):
     raise OSError("read-only filesystem (simulated)")
+
+
+class TestFingerprintGate:
+    @staticmethod
+    def _key_calls(monkeypatch):
+        """Record every canonical key the memo builds."""
+        calls = []
+        real = memo.canonical_conjunct_key
+
+        def counting(conj, cvars, poly, mode=""):
+            calls.append(tuple(cvars))
+            return real(conj, cvars, poly, mode)
+
+        monkeypatch.setattr(memo, "canonical_conjunct_key", counting)
+        return calls
+
+    def test_first_sighting_builds_no_key(self, monkeypatch):
+        calls = self._key_calls(monkeypatch)
+        with stats.collecting_stats() as counters:
+            assert count("1 <= i <= n", ["i"]).evaluate({"n": 4}) == 4
+            assert counters["answer_memo_misses"] >= 1
+        assert calls == []
+        assert answer_memo_info()["size"] >= 1  # the pending raw node
+
+    def test_recurring_shape_promotes_the_pending_node_and_hits(
+        self, monkeypatch
+    ):
+        renamed = (
+            "1 <= p <= N and 1 <= q <= M and 3*q <= 2*p + N and 2 | (p + q)"
+        )
+        calls = self._key_calls(monkeypatch)
+        count(SPLINTERY, ["i", "j"])
+        cold_keys = len(calls)
+        reset_fresh_counter()
+        with stats.collecting_stats() as counters:
+            warm = count(renamed, ["p", "q"])
+            assert counters["answer_memo_hits"] >= 1
+            assert counters["answer_memo_renames"] >= 1
+            assert counters["sat_calls"] == 0
+        # The pending SPLINTERY root is keyed first, then the renamed one.
+        assert calls[cold_keys:] == [("i", "j"), ("p", "q")]
+        clear_answer_memo()
+        reset_fresh_counter()
+        assert _json(warm) == _json(count(renamed, ["p", "q"]))
+
+    def test_pending_node_keys_the_summand_it_was_computed_for(self):
+        # The key of a first sighting is built later, when its shape
+        # recurs; a caller mutating its summand (Polynomial.terms is
+        # exposed) in between must not change what the answer is
+        # filed under.
+        conj = to_dnf(parse("1 <= i <= n"))[0]
+        z = Polynomial.variable("i")
+        found, ticket = memo.lookup(conj, ("i",), z, "test")
+        assert found is None
+        answer = [Term(conj, Polynomial.constant(5))]
+        memo.remember(ticket, answer, (False, False))
+        for mono in list(z.terms):
+            z.terms[mono] += 1
+        found, _ = memo.lookup(conj, ("i",), Polynomial.variable("i"), "test")
+        assert found is not None
+        (term,), flags = found
+        assert term.value == Polynomial.constant(5)
+        assert flags == (False, False)
+
+
+_VARS = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def _nodes(draw):
+    """A random recursion node ``(conjunct, cvars, summand)``."""
+    cons = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = draw(
+            st.dictionaries(
+                st.sampled_from(_VARS), st.integers(-3, 3), max_size=3
+            )
+        )
+        expr = Affine(coeffs, draw(st.integers(-4, 4)))
+        eq = draw(st.booleans())
+        cons.append(Constraint.eq(expr) if eq else Constraint.geq(expr))
+    used = sorted({v for c in cons for v in c.variables()})
+    wilds = draw(_subsets(used))
+    cvars = draw(_subsets([v for v in used if v not in wilds]))
+    poly = Polynomial.one
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(
+            st.dictionaries(
+                st.sampled_from(_VARS), st.integers(-2, 2), max_size=2
+            )
+        )
+        factor = Affine(coeffs, draw(st.integers(-2, 2)))
+        poly = poly * factor.to_polynomial()
+    return Conjunct(cons, wilds), tuple(cvars), poly
+
+
+def _subsets(names):
+    if not names:
+        return st.just([])
+    return st.lists(st.sampled_from(names), unique=True, max_size=2)
+
+
+def _variant(conj, cvars, poly, names, order):
+    """The node renamed through ``names`` with constraints reordered."""
+    mapping = dict(zip(_VARS, names))
+    cons = [conj.constraints[i].rename(mapping) for i in order]
+    wilds = [mapping[w] for w in conj.wildcards]
+    return (
+        Conjunct(cons, wilds),
+        tuple(mapping[v] for v in reversed(cvars)),
+        poly.rename(mapping),
+    )
+
+
+class TestFingerprintProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        node=_nodes(),
+        other=_nodes(),
+        names=st.permutations(("p", "q", "r", "s", "t")),
+        data=st.data(),
+    )
+    def test_fingerprint_is_a_function_of_the_key(
+        self, node, other, names, data
+    ):
+        conj, cvars, poly = node
+        order = data.draw(st.permutations(range(len(conj.constraints))))
+        variant = _variant(conj, cvars, poly, names, order)
+        mode = "sum:exact:1:64"
+        fp = conjunct_fingerprint(conj, cvars, poly, mode)
+        # Invariant under renaming (which can flip an EQ's stored sign)
+        # and under constraint order.
+        assert conjunct_fingerprint(*variant, mode) == fp
+        # Equal canonical keys give equal fingerprints.
+        key = canonical_conjunct_key(conj, cvars, poly, mode)[0]
+        for candidate in (variant, other):
+            if canonical_conjunct_key(*candidate, mode)[0] == key:
+                assert conjunct_fingerprint(*candidate, mode) == fp
 
 
 _NAMES = ("n", "m", "N", "len", "stride")
