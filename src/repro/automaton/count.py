@@ -41,24 +41,27 @@ def automaton_key(formula, over: Sequence[str]) -> Optional[str]:
     """Point-free alpha-invariant cache key, or ``None`` if unkeyable.
 
     Canonical formula key plus the canonical names of ``over`` in
-    *query order* (track order changes the automaton's letter layout,
-    so it is part of the identity; variable spellings are not).
+    *query order* (:func:`repro.core.canon.track_order_key`).
     """
-    from repro.core.canon import canonical_formula_key
+    from repro.core.canon import canonical_formula_key, track_order_key
 
     formula = _parsed(formula)
     if not isinstance(formula, Formula):
         return None
     key, names = canonical_formula_key(formula, over, None)
-    return "%s||%s" % (key, ",".join(names.get(v, v) for v in over))
+    return track_order_key(key, names, over)
 
 
 def automaton_for(formula, over: Sequence[str],
                   options: SumOptions = DEFAULT_OPTIONS,
-                  cache: bool = True):
+                  cache: bool = True,
+                  key: Optional[str] = None):
     """Build (or fetch resident) the automaton for a formula.
 
-    Raises :class:`UnsupportedFormula` outside the fragment.
+    ``key`` is the formula's :func:`automaton_key` when the caller
+    already has it (a service request keeps one); otherwise it is
+    derived here.  Raises :class:`UnsupportedFormula` outside the
+    fragment.
     """
     if not options.strategy.is_exact:
         raise UnsupportedFormula(
@@ -66,7 +69,10 @@ def automaton_for(formula, over: Sequence[str],
             % options.strategy.value
         )
     formula = _parsed(formula)
-    key = automaton_key(formula, over) if cache else None
+    if not cache:
+        key = None
+    elif key is None:
+        key = automaton_key(formula, over)
     if key is not None:
         aut = cache_get(key)
         if aut is not None:
@@ -95,20 +101,18 @@ def automaton_for(formula, over: Sequence[str],
     return aut
 
 
-def has_resident_automaton(formula, over: Sequence[str]) -> bool:
-    """Is this formula's automaton already built and available cheaply?
+def has_resident_automaton(key: str) -> bool:
+    """Is the automaton under ``key`` already built and available cheaply?
 
-    The serve daemon's fast path: when true, ``member`` /
-    ``count_below`` requests can be answered on a worker thread
-    without admission control or a fork.  "Available" covers the
-    in-process resident LRU and the persistent automaton store
-    (:mod:`repro.automaton.store`) -- a disk-resident DFA costs one
-    sqlite read + deserialization, still orders of magnitude below a
-    rebuild, and the load re-residents it.
+    ``key`` is the formula's :func:`automaton_key`.  The serve
+    daemon's fast path: when true, ``member`` / ``count_below``
+    requests can be answered on a worker thread without admission
+    control or a fork.  "Available" covers the in-process resident LRU
+    and the persistent automaton store (:mod:`repro.automaton.store`)
+    -- a disk-resident DFA costs one sqlite read + deserialization,
+    still orders of magnitude below a rebuild, and the load
+    re-residents it.
     """
-    key = automaton_key(formula, over)
-    if key is None:
-        return False
     if cache_peek(key):
         return True
     from repro.automaton.store import store_contains

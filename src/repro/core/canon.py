@@ -317,6 +317,19 @@ def canonical_formula_key(
     return key, names
 
 
+def track_order_key(
+    key: str, names: Mapping[str, str], over: Sequence[str]
+) -> str:
+    """A formula key plus the canonical names of ``over`` in query order.
+
+    The resident-automaton key (:func:`repro.automaton.automaton_key`):
+    track order changes an automaton's letter layout, so it is part of
+    the identity; variable spellings are not.  ``key`` and ``names``
+    come from :func:`canonical_formula_key` without a summand.
+    """
+    return "%s||%s" % (key, ",".join(names.get(v, v) for v in over))
+
+
 # -- conjunct-level canonicalization (the answer-memo client) ------------
 
 
@@ -483,4 +496,5 @@ __all__ = [
     "canonical_conjunct_key",
     "canonical_formula_key",
     "conjunct_fingerprint",
+    "track_order_key",
 ]

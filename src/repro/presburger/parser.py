@@ -51,7 +51,7 @@ from repro.presburger.nonlinear import (
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9']*)"
-    r"|(?P<op><=|>=|==|!=|[-+*/()=<>:,|]))"
+    r"|(?P<op><=|>=|==|!=|[-+*/()=<>:,|])|(?P<bad>\S))"
 )
 
 _KEYWORDS = {
@@ -74,25 +74,37 @@ class ParseError(ValueError):
 
 
 class _Tokens:
-    """A token stream with one-token lookahead."""
+    """A token stream with one-token lookahead.
+
+    One ``finditer`` pass splits the text and records each token's
+    kind (``num``, ``name`` or ``op``); a character no token starts
+    with is reported at its own position.  Both lists end in a
+    ``None`` sentinel, which nothing consumes, so a lookahead needs no
+    bounds check.
+    """
 
     def __init__(self, text: str):
-        self.tokens: List[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ParseError(
-                        "unexpected character %r at %d" % (text[pos], pos)
-                    )
-                break
-            self.tokens.append(m.group(m.lastgroup))
-            pos = m.end()
+        self.tokens: List[Optional[str]] = []
+        self.kinds: List[Optional[str]] = []
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(
+                    "unexpected character %r at %d"
+                    % (m.group(kind), m.start(kind))
+                )
+            self.kinds.append(kind)
+            self.tokens.append(m.group(kind))
+        self.tokens.append(None)
+        self.kinds.append(None)
         self.pos = 0
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
+
+    def kind(self) -> Optional[str]:
+        """The kind of the next token, ``None`` at the end."""
+        return self.kinds[self.pos]
 
     def next(self) -> str:
         tok = self.peek()
@@ -163,8 +175,9 @@ def _parse_unary(toks: _Tokens) -> Formula:
 
 
 def _parse_name(toks: _Tokens) -> str:
+    kind = toks.kind()
     tok = toks.next()
-    if not re.match(r"^[A-Za-z_]", tok) or tok in _KEYWORDS:
+    if kind != "name" or tok in _KEYWORDS:
         raise ParseError("expected a variable name, got %r" % tok)
     return tok
 
@@ -295,17 +308,19 @@ def _parse_factor(toks: _Tokens) -> NLExpr:
         divisor = _parse_int(toks)
         toks.expect(")")
         return (NLFloor if kind == "floor" else NLCeil)(inner, divisor)
-    if re.match(r"^\d+$", tok):
+    kind = toks.kind()
+    if kind == "num":
         toks.next()
         return NLLin(Affine.const_expr(int(tok)))
-    if re.match(r"^[A-Za-z_]", tok) and tok not in _KEYWORDS:
+    if kind == "name" and tok not in _KEYWORDS:
         toks.next()
         return NLLin(Affine.var(tok))
     raise ParseError("unexpected token %r in expression" % tok)
 
 
 def _parse_int(toks: _Tokens) -> int:
+    kind = toks.kind()
     tok = toks.next()
-    if not re.match(r"^\d+$", tok):
+    if kind != "num":
         raise ParseError("expected an integer, got %r" % tok)
     return int(tok)

@@ -483,13 +483,9 @@ class CountingDaemon:
         """Keep the symbolic answer keyed by point-free formula hash."""
         if "result_json" not in payload:
             return
-        try:
-            fkey = req.formula_hash()
-        except Exception:  # pragma: no cover - hash already computed once
-            return
         _remember(
             self._artifacts,
-            fkey,
+            req.formula_hash(),
             {
                 "result": payload["result"],
                 "result_json": payload["result_json"],
@@ -555,13 +551,9 @@ class CountingDaemon:
         """
         if self._pool is None:
             return None
-        try:
-            from repro.automaton import has_resident_automaton
+        from repro.automaton import has_resident_automaton
 
-            resident = has_resident_automaton(req.formula, req.over)
-        except Exception:
-            return None
-        if not resident:
+        if not has_resident_automaton(req.automaton_key()):
             return None
         loop = asyncio.get_event_loop()
         try:

@@ -45,7 +45,10 @@ from multiprocessing.connection import wait
 from typing import List, Optional, Sequence
 
 from repro.core import Strategy, SumOptions, count, stats, sum_poly
-from repro.presburger.parser import ParseError, parse
+from repro.omega.affine import Affine
+from repro.omega.constraints import Constraint, reset_fresh_counter
+from repro.presburger.ast import And, Atom
+from repro.presburger.parser import ParseError
 from repro.presburger.simplify import simplify as simplify_formula
 from repro.qpoly.parse import PolynomialParseError
 from repro.service.request import JobRequest
@@ -133,7 +136,7 @@ def _execute_resident(req: JobRequest) -> dict:
     from repro.automaton import UnsupportedFormula, automaton_for, member
     from repro.automaton import count_below as automaton_count_below
 
-    formula = parse(req.formula)
+    formula = req.parsed()[0]
     over = list(req.over)
     options = SumOptions(
         strategy=Strategy(req.strategy),
@@ -143,7 +146,7 @@ def _execute_resident(req: JobRequest) -> dict:
         stats.bump("automaton_calls")
     aut = None
     try:
-        aut = automaton_for(formula, over, options)
+        aut = automaton_for(formula, over, options, key=req.automaton_key())
     except UnsupportedFormula:
         if stats.ENABLED:
             stats.bump("automaton_fallbacks")
@@ -184,10 +187,13 @@ def _execute_resident(req: JobRequest) -> dict:
         total = automaton_count_below(aut, req.bound, lo)
         exactness = "exact"
     else:
-        box = " and ".join(
-            "%d <= %s and %s <= %d" % (lo, v, v, hi) for v in over
-        )
-        result = count("(%s) and %s" % (req.formula, box), over, options)
+        # The formula boxed to lo <= v <= hi in every counted variable.
+        box = []
+        for v in over:
+            var = Affine.var(v)
+            box.append(Atom(Constraint.leq(Affine.const_expr(lo), var)))
+            box.append(Atom(Constraint.leq(var, Affine.const_expr(hi))))
+        result = count(And.of(formula, *box), over, options)
         try:
             total = int(result.evaluate({}))
         except Exception:
@@ -232,10 +238,9 @@ def execute_request(req: JobRequest) -> dict:
 
     previous_backend = set_backend(resolve_backend(req.backend))
     try:
+        formula, poly = req.parsed()
         if req.kind == "simplify":
-            clauses = simplify_formula(
-                parse(req.formula), disjoint=req.disjoint
-            )
+            clauses = simplify_formula(formula, disjoint=req.disjoint)
             lines = [str(c) for c in clauses] or ["FALSE"]
             return {
                 "kind": req.kind,
@@ -250,12 +255,10 @@ def execute_request(req: JobRequest) -> dict:
             strategy=Strategy(req.strategy),
             remove_redundant=req.remove_redundant,
         )
-        if req.poly is not None:
-            result = sum_poly(
-                req.formula, list(req.over), req.poly, options
-            )
+        if poly is not None:
+            result = sum_poly(formula, list(req.over), poly, options)
         else:
-            result = count(req.formula, list(req.over), options)
+            result = count(formula, list(req.over), options)
         if req.simplify:
             result = result.simplified()
         points = _evaluate_points(req, result)
@@ -320,6 +323,10 @@ def _worker_main(req_json: dict, conn, budget: Optional[int]) -> None:
     clear_sat_cache()
     clear_answer_memo()
     clear_automaton_cache()
+    # A forked worker also inherits the daemon's fresh-name counter;
+    # restart it so the wildcard names a simplify answer prints do
+    # not depend on what the daemon parsed before.
+    reset_fresh_counter()
     stats.reset_stats()
     stats.enable_stats()
     stats.set_work_budget(budget)

@@ -30,11 +30,27 @@ appear in the answer, so renaming them *does* change the response.
 This module re-exports :func:`canonical_formula_key` and keeps the
 hash payload layout; the serialized form is byte-identical to what it
 was before the extraction, so the schema version is unchanged.
+
+A request parses once.  :meth:`JobRequest.parsed` parses the formula
+and summand on first use and keeps them; the first hash builds the
+canonical key and names from that parse and keeps them too.  Every
+hash (:meth:`~JobRequest.content_hash`, :meth:`~JobRequest.formula_hash`,
+:meth:`~JobRequest.automaton_key`) and the execution itself
+(:func:`repro.service.executor.execute_request`) share this one memo,
+so the serve daemon, the batch front end and a forked worker each
+tokenize a request's text at most once.  Decoding
+(:meth:`~JobRequest.from_json`) parses nothing, and a worker that only
+executes never builds a key it does not need.
+
+The rule that keeps the memo sound: a field that enters a hash is
+never reassigned after the first hash.  Only ``budget`` is ever
+reassigned (the daemon clamps it per tenant), and it is not hashed.
 """
 
 import hashlib
 import json
-from typing import Dict, List, Mapping, Optional, Sequence
+import math
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import __version__ as ENGINE_VERSION
 from repro.core.backend import BACKENDS
@@ -42,10 +58,13 @@ from repro.core.canon import (
     _BOUND_PREFIX,
     _MASK,
     canonical_formula_key,
+    track_order_key,
 )
 from repro.core.options import Strategy
 from repro.core.result import polynomial_to_json
+from repro.presburger.ast import Formula
 from repro.presburger.parser import ParseError, parse
+from repro.qpoly import Polynomial
 from repro.qpoly.parse import PolynomialParseError, parse_polynomial
 
 #: Hash-payload schema; bump on any change to the canonical form.
@@ -56,6 +75,26 @@ KINDS = ("count", "sum", "simplify", "evaluate", "member", "count_below")
 
 class RequestError(ValueError):
     """A malformed service request (bad kind, missing field, ...)."""
+
+
+#: The fields a request object may carry on the wire.
+_FIELDS = frozenset((
+    "id",
+    "kind",
+    "formula",
+    "over",
+    "poly",
+    "strategy",
+    "remove_redundant",
+    "simplify",
+    "disjoint",
+    "at",
+    "timeout",
+    "budget",
+    "backend",
+    "bound",
+    "lo",
+))
 
 
 # -- the request model ---------------------------------------------------
@@ -87,6 +126,8 @@ class JobRequest:
         "backend",
         "bound",
         "lo",
+        "_parse_memo",
+        "_key_memo",
     )
 
     def __init__(
@@ -111,8 +152,19 @@ class JobRequest:
             raise RequestError("unknown job kind %r (want one of %s)" % (kind, "/".join(KINDS)))
         if not isinstance(formula, str) or not formula.strip():
             raise RequestError("job needs a non-empty 'formula' string")
+        if not isinstance(over, (list, tuple)):
+            raise RequestError(
+                "'over' must be a list of variable names, got %r" % (over,)
+            )
+        for v in over:
+            if not isinstance(v, str):
+                raise RequestError(
+                    "'over' entries must be variable names, got %r" % (v,)
+                )
         if kind in ("count", "sum", "evaluate", "member", "count_below") and not over:
             raise RequestError("%s job needs a non-empty 'over' list" % kind)
+        if poly is not None and not isinstance(poly, str):
+            raise RequestError("'poly' must be a string, got %r" % (poly,))
         if kind == "sum" and not poly:
             raise RequestError("sum job needs a 'poly' summand")
         if kind not in ("sum", "evaluate") and poly:
@@ -133,6 +185,8 @@ class JobRequest:
         self.remove_redundant = bool(remove_redundant)
         self.simplify = bool(simplify)
         self.disjoint = bool(disjoint)
+        if not isinstance(at, (list, tuple)):
+            raise RequestError("'at' must be a list of objects, got %r" % (at,))
         cleaned: List[Dict[str, int]] = []
         for env in at:
             if not isinstance(env, Mapping):
@@ -166,8 +220,23 @@ class JobRequest:
             )
         self.bound = bound
         self.lo = lo
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 < timeout < math.inf  # also false for NaN
+        ):
+            raise RequestError(
+                "'timeout' must be a finite number of seconds > 0, got %r"
+                % (timeout,)
+            )
         self.timeout = float(timeout) if timeout is not None else None
-        self.budget = int(budget) if budget is not None else None
+        if budget is not None and (
+            isinstance(budget, bool) or not isinstance(budget, int) or budget < 1
+        ):
+            raise RequestError(
+                "'budget' must be an integer >= 1, got %r" % (budget,)
+            )
+        self.budget = budget
         if backend is not None and backend not in BACKENDS:
             raise RequestError(
                 "unknown backend %r (want one of %s)"
@@ -177,6 +246,8 @@ class JobRequest:
         # are exact, so answers are interchangeable and cross-backend
         # cache hits stay valid.
         self.backend = backend
+        self._parse_memo: Optional[Tuple[Formula, Optional[Polynomial]]] = None
+        self._key_memo: Optional[tuple] = None
 
     # -- wire format ------------------------------------------------------
 
@@ -184,26 +255,11 @@ class JobRequest:
     def from_json(cls, obj: Mapping, default_id: Optional[str] = None) -> "JobRequest":
         if not isinstance(obj, Mapping):
             raise RequestError("request must be a JSON object, got %r" % (obj,))
-        known = {
-            "id",
-            "kind",
-            "formula",
-            "over",
-            "poly",
-            "strategy",
-            "remove_redundant",
-            "simplify",
-            "disjoint",
-            "at",
-            "timeout",
-            "budget",
-            "backend",
-            "bound",
-            "lo",
-        }
-        unknown = sorted(set(obj) - known)
+        unknown = obj.keys() - _FIELDS
         if unknown:
-            raise RequestError("unknown request fields: %s" % ", ".join(unknown))
+            raise RequestError(
+                "unknown request fields: %s" % ", ".join(sorted(unknown))
+            )
         over = obj.get("over", ())
         if isinstance(over, str):
             over = [v.strip() for v in over.split(",") if v.strip()]
@@ -254,21 +310,40 @@ class JobRequest:
             out["lo"] = self.lo
         return out
 
-    # -- content identity -------------------------------------------------
+    # -- the parse and key memo -------------------------------------------
 
-    def canonical_payload(self) -> str:
-        """The exact string that is hashed (exposed for tests/debugging).
+    def parsed(self) -> Tuple[Formula, Optional[Polynomial]]:
+        """The parsed formula and summand, parsed on first use and kept.
 
         Raises :class:`~repro.presburger.parser.ParseError` /
         :class:`~repro.qpoly.parse.PolynomialParseError` on malformed
         formula or summand text -- callers classify that as a
         ``parse_error`` job failure.
         """
-        formula = parse(self.formula)
-        poly = (
-            parse_polynomial(self.poly) if self.poly is not None else None
-        )
+        if self._parse_memo is None:
+            formula = parse(self.formula)
+            poly = (
+                parse_polynomial(self.poly) if self.poly is not None else None
+            )
+            self._parse_memo = (formula, poly)
+        return self._parse_memo
+
+    def _keys(self) -> tuple:
+        """(point-free payload, canonical ``at`` entries, automaton key).
+
+        Built from :meth:`parsed` on the first hash and kept; raises
+        like :meth:`parsed`.
+        """
+        if self._key_memo is not None:
+            return self._key_memo
+        formula, poly = self.parsed()
         key, names = canonical_formula_key(formula, self.over, poly)
+        # A summand's role marks may move the canonical names, so only
+        # a summand-free request (every member/count_below one) has the
+        # names repro.automaton.automaton_key derives.
+        automaton = (
+            track_order_key(key, names, self.over) if poly is None else None
+        )
         payload = {
             "schema": REQUEST_SCHEMA_VERSION,
             "engine": ENGINE_VERSION,
@@ -296,28 +371,37 @@ class JobRequest:
         if self.kind == "count_below":
             payload["bound"] = self.bound
             payload["lo"] = self.lo if self.lo is not None else 0
-        if self.at:
-            # Order is part of the identity: the cached response's
-            # 'points' list preserves the order of the request that
-            # computed it, so a reordered 'at' must miss, not hit with
-            # points misordered relative to its own list.  Keys naming
-            # bound/counted variables (member points) go through their
-            # canonical names so alpha-renamed requests share a hash;
-            # free-symbol keys keep their names like everywhere else.
-            payload["at"] = [
-                json.dumps(
-                    {names.get(k, k): v for k, v in env.items()},
-                    sort_keys=True,
-                )
-                for env in self.at
-            ]
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        # Order is part of the identity: the cached response's 'points'
+        # list preserves the order of the request that computed it, so
+        # a reordered 'at' must miss, not hit with points misordered
+        # relative to its own list.  Keys naming bound/counted
+        # variables (member points) go through their canonical names so
+        # alpha-renamed requests share a hash; free-symbol keys keep
+        # their names like everywhere else.
+        at = [
+            json.dumps(
+                {names.get(k, k): v for k, v in env.items()}, sort_keys=True
+            )
+            for env in self.at
+        ]
+        self._key_memo = (payload, at, automaton)
+        return self._key_memo
+
+    # -- content identity -------------------------------------------------
+
+    def canonical_payload(self) -> str:
+        """The exact string that is hashed (exposed for tests/debugging).
+
+        Raises like :meth:`parsed` on malformed formula or summand text.
+        """
+        payload, at, _ = self._keys()
+        if at:
+            payload = dict(payload, at=at)
+        return _dumps(payload)
 
     def content_hash(self) -> str:
         """SHA-256 hex digest of the canonical payload (the cache key)."""
-        return hashlib.sha256(
-            self.canonical_payload().encode("utf-8")
-        ).hexdigest()
+        return _sha256(self.canonical_payload())
 
     def formula_hash(self) -> str:
         """Content hash with the 'at' points removed.
@@ -326,13 +410,24 @@ class JobRequest:
         the symbolic answer, so evaluate jobs that differ solely in
         their points must share one compilation.
         """
-        payload = json.loads(self.canonical_payload())
-        payload.pop("at", None)
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-                "utf-8"
-            )
-        ).hexdigest()
+        return _sha256(_dumps(self._keys()[0]))
+
+    def automaton_key(self) -> Optional[str]:
+        """The resident-automaton key of the formula and ``over``.
+
+        Equal to :func:`repro.automaton.automaton_key` of the parsed
+        formula, without parsing or canonicalizing again; ``None`` for a
+        request with a summand, which never queries an automaton.
+        """
+        return self._keys()[2]
+
+
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 __all__ = [

@@ -53,6 +53,26 @@ def _deterministic_fresh_names():
     yield
 
 
+@pytest.fixture
+def tokenized(monkeypatch):
+    """Texts the formula tokenizer ran on in this process, in order.
+
+    One entry per parse of formula text, so a test can count how often
+    a request is parsed.  A forked worker records into its own copy.
+    """
+    from repro.presburger import parser
+
+    runs = []
+
+    class Counting(parser._Tokens):
+        def __init__(self, text):
+            runs.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(parser, "_Tokens", Counting)
+    return runs
+
+
 def enumerate_conjunct(
     conj: Conjunct, variables: Sequence[str], box: int = 8, env: Mapping[str, int] = ()
 ) -> Set[Tuple[int, ...]]:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.automaton import (
     automaton_for,
+    automaton_key,
     automaton_store_info,
     clear_automaton_cache,
     has_resident_automaton,
@@ -94,7 +95,7 @@ class TestPersistence:
 
             # "Restart": the resident LRU is gone, the disk row is not.
             clear_automaton_cache()
-            assert has_resident_automaton(FORMULA, OVER)
+            assert has_resident_automaton(automaton_key(FORMULA, OVER))
 
             again = automaton_for(FORMULA, OVER)
             snap = stats.stats_snapshot()
@@ -109,7 +110,7 @@ class TestPersistence:
         automaton_for(FORMULA, OVER)
         clear_automaton_cache()
         renamed = FORMULA.replace("i", "p").replace("j", "q")
-        assert has_resident_automaton(renamed, ["p", "q"])
+        assert has_resident_automaton(automaton_key(renamed, ["p", "q"]))
 
     def test_disabled_store_is_a_noop(self, tmp_path):
         set_automaton_store(None)
@@ -121,7 +122,7 @@ class TestPersistence:
         # resident after an LRU clear.
         if not info["enabled"]:
             clear_automaton_cache()
-            assert not has_resident_automaton("0 <= i <= 3", ["i"])
+            assert not has_resident_automaton(automaton_key("0 <= i <= 3", ["i"]))
             assert store_get("some-key") is None
             assert not store_contains("some-key")
 

@@ -35,6 +35,60 @@ def test_content_hash_is_pinned(kind, formula, over, poly, expected):
     assert req.content_hash() == expected
 
 
+# Kinds whose keys the serve daemon's warm tiers use beyond the content
+# hash.  Computed before requests kept their parse and canonical key in
+# one memo, which must leave every key byte-identical.
+EVALUATE = JobRequest(
+    "evaluate", "1 <= i and i < j and j <= n and 3*i <= 2*m",
+    over=["i", "j"], poly="i*j + 2", at=[{"n": 10, "m": 4}, {"n": 3, "m": 7}],
+)
+MEMBER_FORMULA = "exists k: 0 <= i <= 9 and 0 <= j <= 9 and i + j = 2*k"
+
+
+def test_evaluate_hashes_are_pinned():
+    assert EVALUATE.content_hash() == (
+        "a5e7c4429ee89fe2f144c3a6bb7bebf6f227c572ef841809c047b121d60621ce"
+    )
+    # The point-free key of the evalc artifact map.
+    assert EVALUATE.formula_hash() == (
+        "c301b80d7dc944358d8b4287bd59e40bd06b7d707c2b479ae630b2776d323090"
+    )
+
+
+def test_member_hash_with_bound_point_names_is_pinned():
+    req = JobRequest(
+        "member", MEMBER_FORMULA, over=["i", "j"],
+        at=[{"i": 2, "j": 4}, {"j": 2, "i": 1}],
+    )
+    assert req.content_hash() == (
+        "d5d382387d02febf3ea5d565f583719954b0296b92f6b74821d121f1d0997a3c"
+    )
+
+
+def test_count_below_hash_is_pinned():
+    req = JobRequest(
+        "count_below", "0 <= x and x <= y and y <= 2*x + 3",
+        over=["x", "y"], bound=7, lo=-2,
+    )
+    assert req.content_hash() == (
+        "de026ceade5788bc6c0a56c64b6f70ae50493070b03b3cc1b5f3eabc912b5419"
+    )
+
+
+def test_automaton_key_is_pinned():
+    # Keys the persistent ``automata`` table, so it may no more move
+    # than a content hash.
+    import hashlib
+
+    from repro.automaton import automaton_key
+    from repro.presburger.parser import parse
+
+    key = automaton_key(parse(MEMBER_FORMULA), ["i", "j"])
+    assert hashlib.sha256(key.encode("utf-8")).hexdigest() == (
+        "ca8a5a3ebe85e93690a36616b5b75d546438473cc9ed532fa26ded3563037268"
+    )
+
+
 def test_schema_version_unchanged_by_extraction():
     # The canonical form did not change when the canonicalizer moved to
     # repro.core.canon, so the schema version must not have moved either.

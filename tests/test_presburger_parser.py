@@ -139,3 +139,13 @@ class TestErrors:
     def test_constant_times_expr_ok(self):
         f = parse("2*(x + 1) = 6")
         assert f.evaluate({"x": 2})
+
+    @pytest.mark.parametrize(
+        "text,char,pos",
+        [("i <= $", "$", 5), ("1 <= i <= n and j # 2", "#", 18), ("i <=$", "$", 4)],
+    )
+    def test_bad_character_reported_at_its_own_position(self, text, char, pos):
+        # Not at the whitespace before it, where the previous token ended.
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == "unexpected character %r at %d" % (char, pos)

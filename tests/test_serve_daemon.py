@@ -485,6 +485,93 @@ class TestEvaluateArtifacts:
         assert artifacts <= 8 and bodies == 8
 
 
+class TestParseOnce:
+    EVALUATE = {
+        "kind": "evaluate",
+        "formula": "1 <= i and i < j and j <= n and 2*j <= n + 5",
+        "over": ["i", "j"],
+        "at": [{"n": 10}],
+    }
+    MEMBER = {
+        "kind": "member",
+        "formula": "exists k: 0 <= i <= 30 and 0 <= j <= i and i + j = 3*k",
+        "over": ["i", "j"],
+        "at": [{"i": 6, "j": 3}],
+    }
+
+    def test_every_tier_tokenizes_a_request_once(self, tmp_path, tokenized):
+        """The daemon parses each request once, whatever tier answers
+        it: the hashes, the artifact and automaton probes and the
+        in-daemon execution all share the request's parse.  (A forked
+        cold worker parses its own copy, in its own process.)"""
+        from repro.automaton import clear_automaton_cache
+
+        clear_automaton_cache()
+        steps = [
+            ("cold count", COUNT_IJ, "cold"),
+            ("renamed warm repeat", VARIANTS[1], "warm"),
+            ("cold evaluate", self.EVALUATE, "cold"),
+            ("artifact evaluate", dict(self.EVALUATE, at=[{"n": 7}]), "warm"),
+            ("cold member", self.MEMBER, "cold"),
+            ("resident member", dict(self.MEMBER, at=[{"i": 7, "j": 2}]),
+             "warm"),
+            ("resident count_below",
+             dict(self.MEMBER, kind="count_below", at=[], bound=9, lo=-3),
+             "warm"),
+        ]
+
+        async def scenario(daemon):
+            seen = []
+            for name, obj, tier in steps:
+                del tokenized[:]
+                response = await daemon.handle(dict(obj, id=name))
+                assert response["ok"], response
+                assert response["tier"] == tier, name
+                seen.append((name, len(tokenized)))
+            return seen, daemon.metrics.snapshot()["counters"]
+
+        seen, counters = run_scenario(scenario, tmp_path)
+        assert seen == [(name, 1) for name, _, _ in steps]
+        assert counters["artifact_hits"] == 1
+        assert counters["automaton_hits"] == 2
+
+    def test_execute_request_tokenizes_an_evaluate_once(self, tokenized):
+        from repro.service.executor import execute_request
+
+        payload = execute_request(JobRequest.from_json(self.EVALUATE))
+        assert payload["points"] == [{"at": {"n": 10}, "value": 21}]
+        assert len(tokenized) == 1
+
+
+class TestWorkerFreshNames:
+    def test_simplify_names_do_not_follow_daemon_history(self, tmp_path):
+        """A forked worker restarts the fresh-name counter, so the
+        wildcard names a simplify answer prints are the CLI's, whatever
+        the daemon parsed before (here a floor, which mints a name)."""
+        simplify = {
+            "kind": "simplify",
+            "formula": "exists a, b: 2*a <= x <= 3*a + b and 5*b <= y"
+            " and 3*b >= y - x and 7 | (a + b + x)",
+        }
+        unrelated = {
+            "kind": "evaluate",
+            "formula": "0 <= i <= floor(n/2)",
+            "over": ["i"],
+            "at": [{"n": 5}],
+        }
+
+        async def scenario(daemon):
+            first = await daemon.handle(dict(simplify, id="s1"))
+            await daemon.handle(dict(unrelated, id="e"))
+            second = await daemon.handle(dict(simplify, id="s2"))
+            return first, second
+
+        first, second = run_scenario(scenario, tmp_path, cache_path=None)
+        assert first["tier"] == second["tier"] == "cold"
+        assert first["result"].startswith("exists _e1, _e2: ")
+        assert second["result"] == first["result"]
+
+
 class TestLifecycle:
     def test_drain_restores_stats_provider_and_closes_cache(self, tmp_path):
         async def scenario(daemon):

@@ -22,6 +22,15 @@ COUNT_IJ = {
     "at": [{"n": 10}],
 }
 
+#: A count whose timeout is not a number.
+MALFORMED = {
+    "id": "bad-timeout",
+    "kind": "count",
+    "formula": "1<=i<=3",
+    "over": ["i"],
+    "timeout": "abc",
+}
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
@@ -130,6 +139,23 @@ class TestHttpFrontend:
         assert doc["ok"] is False
         assert doc["error"]["kind"] == "bad_request"
 
+    def test_malformed_field_is_400_and_keeps_the_connection(self, tmp_path):
+        async def scenario(daemon, front, reader, writer):
+            s1, bad = await _http_request(
+                reader, writer, "POST", "/job", MALFORMED
+            )
+            s2, good = await _http_request(
+                reader, writer, "POST", "/job", COUNT_IJ
+            )
+            return (s1, bad), (s2, good)
+
+        (s1, bad), (s2, good) = http_scenario(tmp_path, scenario)
+        assert s1 == 400
+        assert bad["ok"] is False and bad["tier"] == "front"
+        assert bad["error"]["kind"] == "bad_request"
+        assert "timeout" in bad["error"]["message"]
+        assert s2 == 200 and good["points"][0]["value"] == 45
+
     def test_unknown_path_is_404_and_method_405(self, tmp_path):
         async def scenario(daemon, front, reader, writer):
             s1, _ = await _http_request(reader, writer, "GET", "/nope")
@@ -222,6 +248,40 @@ class TestJsonlFrontend:
         assert by_id["b"]["ok"] is True
         assert by_id["b"]["result"] == by_id["a"]["result"]
         assert by_id["bad"]["ok"] is False
+
+    def test_malformed_field_gets_its_own_reply(self, tmp_path):
+        async def wrapper():
+            daemon = make_daemon(tmp_path)
+            daemon.start()
+            front = JsonlFrontend(daemon, "127.0.0.1", 0)
+            await front.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", front.port
+                )
+                for job in (MALFORMED, dict(COUNT_IJ, id="after")):
+                    writer.write((json.dumps(job) + "\n").encode("utf-8"))
+                await writer.drain()
+                writer.write_eof()
+                responses = []
+                while True:
+                    line = await asyncio.wait_for(
+                        reader.readline(), timeout=30
+                    )
+                    if not line:
+                        break
+                    responses.append(json.loads(line))
+                writer.close()
+                return responses
+            finally:
+                await front.stop()
+                await daemon.drain()
+
+        responses = asyncio.run(wrapper())
+        by_id = {r["id"]: r for r in responses}
+        assert len(responses) == 2 and set(by_id) == {"bad-timeout", "after"}
+        assert by_id["bad-timeout"]["error"]["kind"] == "bad_request"
+        assert by_id["after"]["ok"] is True
 
     def test_garbage_line_gets_structured_response(self, tmp_path):
         async def wrapper():

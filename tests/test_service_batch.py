@@ -240,6 +240,28 @@ class TestCLI:
         assert "line 2" in lines[1]["error"]["message"]
         assert "1 malformed input line" in err
 
+    def test_malformed_field_is_a_bad_request_line_and_exits_zero(
+        self, tmp_path, capsys
+    ):
+        # A well-formed line with a bad field value is an unservable
+        # request, like an unknown kind: answered, exit 0, and the
+        # lines after it still run.
+        reqs = tmp_path / "reqs.jsonl"
+        write_jsonl(
+            reqs,
+            [
+                {"kind": "count", "formula": "1<=i<=3", "over": ["i"],
+                 "timeout": "abc"},
+                COUNT_IJ,
+            ],
+        )
+        code, lines, _ = self.run_cli(capsys, str(reqs), "--no-cache")
+        assert code == 0
+        assert [line["ok"] for line in lines] == [False, True]
+        assert lines[0]["error"]["kind"] == "bad_request"
+        assert "timeout" in lines[0]["error"]["message"]
+        assert lines[1]["points"] == [{"at": {"n": 10}, "value": 45}]
+
     def test_truncated_record_and_trailing_blank_line(
         self, tmp_path, capsys
     ):

@@ -50,6 +50,36 @@ class TestValidation:
         req = JobRequest("simplify", "x >= 1 and x >= 0")
         assert req.kind == "simplify"
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("timeout", "abc"),
+            ("timeout", -1),
+            ("timeout", 0),
+            ("timeout", float("nan")),
+            ("timeout", float("inf")),
+            ("timeout", True),
+            ("budget", "x"),
+            ("budget", 0),
+            ("budget", 2.5),
+            ("budget", True),
+            ("over", 5),
+            ("over", [1]),
+            ("over", [["i"]]),
+            ("at", 5),
+            ("at", {"n": 1}),
+            ("poly", 5),
+        ],
+    )
+    def test_malformed_field_is_a_request_error(self, field, value):
+        # Every bad field value is a RequestError, which the batch and
+        # serve front ends answer as bad_request.  A raw ValueError or
+        # TypeError would escape them instead.
+        obj = {"kind": "evaluate", "formula": "1 <= i <= n", "over": ["i"],
+               "at": [{"n": 3}], field: value}
+        with pytest.raises(RequestError, match=field):
+            JobRequest.from_json(obj)
+
 
 class TestWireFormat:
     def test_round_trip(self):
@@ -208,6 +238,62 @@ class TestContentHash:
         a = _h("i < j and 0 <= i and 0 <= j and i <= n and j <= n", ["i"])
         b = _h("j < i and 0 <= i and 0 <= j and i <= n and j <= n", ["i"])
         assert a != b
+
+
+class TestParseOnce:
+    def test_decoding_parses_nothing(self, tokenized):
+        JobRequest.from_json(
+            {"kind": "count", "formula": "1 <= i <= n", "over": ["i"]}
+        )
+        assert tokenized == []
+
+    def test_every_hash_shares_one_parse(self, tokenized):
+        req = JobRequest(
+            "evaluate", "1 <= i and i < j and j <= n", over=["i", "j"],
+            poly="i + j", at=[{"n": 4}],
+        )
+        first = (req.content_hash(), req.formula_hash(), req.canonical_payload())
+        again = (req.content_hash(), req.formula_hash(), req.canonical_payload())
+        assert first == again
+        assert len(tokenized) == 1
+        assert req.parsed() is req.parsed()
+
+    def test_automaton_key_matches_the_automaton_module(self, tokenized):
+        from repro.automaton import automaton_key
+
+        req = JobRequest(
+            "member", "exists k: 0 <= i <= 9 and i = 2*k and 0 <= j <= i",
+            over=["j", "i", "unused"], at=[{"i": 2, "j": 1, "unused": 0}],
+        )
+        key = req.automaton_key()
+        req.content_hash()
+        assert len(tokenized) == 1
+        assert key == automaton_key(req.formula, req.over)
+        # A summand can move the canonical names, so a request with one
+        # has no automaton key (no such request queries an automaton).
+        summed = JobRequest("sum", "0 <= i <= 9", over=["i"], poly="i")
+        assert summed.automaton_key() is None
+
+    def test_executing_a_count_builds_no_key(self, monkeypatch, tokenized):
+        # A forked worker only executes: it parses, and canonicalizes
+        # only for a key its job needs (an evaluate's evalc artifact).
+        from repro.service import request
+        from repro.service.executor import execute_request
+
+        keys = []
+        real = request.canonical_formula_key
+        monkeypatch.setattr(
+            request, "canonical_formula_key",
+            lambda *args: keys.append(args) or real(*args),
+        )
+        execute_request(JobRequest("count", "1 <= i <= n", over=["i"]))
+        assert len(tokenized) == 1 and keys == []
+
+    def test_parse_error_is_raised_by_every_hash(self):
+        req = JobRequest("count", "1 <= i <= ===", over=["i"])
+        for method in (req.content_hash, req.formula_hash, req.automaton_key):
+            with pytest.raises(ParseError):
+                method()
 
 
 class TestCanonicalFormulaKey:
