@@ -17,11 +17,11 @@ The engine has three exact counting backends:
   then O(bits) membership and box/threshold count queries.
 
 Which one ``count`` / ``sum_poly`` try first is process-global state
-managed here, mirroring :mod:`repro.omega.kernels`: the
-``REPRO_BACKEND`` environment variable picks the startup default
-(``recursion`` when unset), :func:`set_backend` switches at runtime
-(returning the previous choice so scopes can restore it), and the
-per-call ``backend=`` keyword overrides without touching the global.
+managed here: the ``REPRO_BACKEND`` environment variable picks the
+startup default (``recursion`` when unset), :func:`set_backend`
+switches at runtime (returning the previous choice so scopes can
+restore it), and the per-call ``backend=`` keyword overrides without
+touching the global.
 
 **Fallback rule:** the accelerated backends signal anything outside
 their fragment by raising their ``UnsupportedFormula``

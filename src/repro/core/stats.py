@@ -1,4 +1,4 @@
-"""Global engine counters and timers ("observability layer").
+"""Global engine counters ("observability layer").
 
 The counting engine spends its time in a handful of hot primitives:
 satisfiability checks, ``Conjunct.normalize`` fixed-point passes,
@@ -40,7 +40,6 @@ Usage::
 or imperatively with :func:`enable_stats` / :func:`stats_snapshot`.
 """
 
-import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Union
 
@@ -85,7 +84,6 @@ COUNTER_NAMES = (
 )
 
 _counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
-_timers: Dict[str, float] = {}
 
 #: Work-budget switch.  ``None`` means no budget; otherwise the
 #: maximum number of budget units (satisfiability calls) a computation
@@ -174,10 +172,9 @@ def disable_stats() -> None:
 
 
 def reset_stats() -> None:
-    """Zero every counter and timer."""
+    """Zero every counter."""
     for name in _counters:
         _counters[name] = 0
-    _timers.clear()
 
 
 def bump(name: str, n: int = 1) -> None:
@@ -185,38 +182,13 @@ def bump(name: str, n: int = 1) -> None:
     _counters[name] = _counters.get(name, 0) + n
 
 
-def add_time(name: str, seconds: float) -> None:
-    """Accumulate wall time under ``name``."""
-    _timers[name] = _timers.get(name, 0.0) + seconds
-
-
-@contextmanager
-def timer(name: str) -> Iterator[None]:
-    """Accumulate the wall time of the ``with`` body under ``name``.
-
-    Only records when collection is enabled, so it is safe (and cheap)
-    to leave in place permanently.
-    """
-    if not ENABLED:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        add_time(name, time.perf_counter() - start)
-
-
-def stats_snapshot() -> Dict[str, Union[int, float]]:
-    """A copy of all counters plus ``time_<name>`` timer totals."""
-    snap: Dict[str, Union[int, float]] = dict(_counters)
-    for name, seconds in _timers.items():
-        snap["time_%s" % name] = seconds
-    return snap
+def stats_snapshot() -> Dict[str, int]:
+    """A copy of all counters."""
+    return dict(_counters)
 
 
 def engine_snapshot() -> Dict[str, Union[int, float]]:
-    """Counters, timers *and* cache occupancy in one mapping.
+    """Counters *and* cache occupancy in one mapping.
 
     This is the single introspection entry point shared by the CLI's
     ``--stats`` output and the batch service's per-job ``stats`` block:

@@ -13,7 +13,6 @@ Capabilities, mirroring the paper's Section 2:
 
 from repro.omega.affine import Affine
 from repro.omega.constraints import EQ, GEQ, Constraint, fresh_var
-from repro.omega.kernels import kernels_backend, set_kernels_backend
 from repro.omega.problem import Conjunct
 from repro.omega.eliminate import (
     dark_shadow,
@@ -42,9 +41,7 @@ __all__ = [
     "fresh_var",
     "gist",
     "implies",
-    "kernels_backend",
     "project_onto",
-    "set_kernels_backend",
     "real_shadow",
     "remove_redundant",
     "satisfiable",

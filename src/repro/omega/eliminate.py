@@ -34,26 +34,6 @@ class SplinterError(RuntimeError):
 
 
 def _shadow(conj: Conjunct, var: str, dark: bool) -> Optional[Conjunct]:
-    if stats.ENABLED:
-        stats.bump("fm_eliminations")
-    if kernels.DENSE:
-        return _shadow_dense(conj, var, dark)
-    lowers, uppers, rest = conj.bounds_on(var)
-    if not lowers or not uppers:
-        # Unbounded on one side: ∃z always solvable once the other
-        # constraints hold.
-        return Conjunct(rest, conj.wildcards).normalize()
-    new = list(rest)
-    for b, beta in lowers:
-        for a, alpha in uppers:
-            expr = alpha * b - beta * a
-            if dark:
-                expr = expr - (a - 1) * (b - 1)
-            new.append(Constraint.geq(expr))
-    return Conjunct(new, conj.wildcards).normalize()
-
-
-def _shadow_dense(conj: Conjunct, var: str, dark: bool) -> Optional[Conjunct]:
     """Shadow projection on the parent conjunct's row block.
 
     The incremental FM step: rows not mentioning ``var`` are carried
@@ -62,6 +42,8 @@ def _shadow_dense(conj: Conjunct, var: str, dark: bool) -> Optional[Conjunct]:
     child conjunct is built with its block pre-attached so the
     recursion's next normalize/eliminate step starts from rows too.
     """
+    if stats.ENABLED:
+        stats.bump("fm_eliminations")
     index, pos, rows = conj._row_block()
     col = pos.get(var)
     if col is None:

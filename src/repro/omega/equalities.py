@@ -117,24 +117,15 @@ def substitute_fractional(
     """
     if denominator <= 0:
         raise ValueError("denominator must be positive")
-    dense = kernels.DENSE
     new_cons = []
     for c in conj.constraints:
         a = c.coeff(var)
         if a == 0:
             new_cons.append(c)
             continue
-        if dense:
-            # Single merge join over the two sorted coefficient rows;
-            # same expression as the dict path, no intermediates.
-            expr = kernels.combine_scaled(
-                c.expr, denominator, numerator, a, var
-            )
-        else:
-            rest = Affine(
-                {v: cf for v, cf in c.expr.coeffs if v != var}, c.expr.const
-            )
-            expr = rest * denominator + numerator * a
+        # (c without var)·denominator + numerator·a, as one merge join
+        # over the two sorted coefficient rows.
+        expr = kernels.combine_scaled(c.expr, denominator, numerator, a, var)
         new_cons.append(Constraint(expr, c.kind))
     return Conjunct(new_cons, conj.wildcards)
 

@@ -7,7 +7,7 @@ representation pays for that generality with object churn: every
 tightening pass allocates fresh Affine/Constraint objects and hashes
 tuples of ``(name, coeff)`` pairs.
 
-This module provides a second, *dense* substrate: each conjunct gets a
+This module is the substrate those passes run on: each conjunct gets a
 per-conjunct variable index (a sorted tuple of names), and each
 constraint becomes one flat row of ints
 
@@ -31,17 +31,10 @@ of per-constraint object rebuilding --
   shadow) straight on the parent's row block, reusing the untouched
   rows instead of rebuilding dicts at every recursion step.
 
-Which substrate runs is controlled by the ``REPRO_KERNELS``
-environment variable (``dense``, the default, or ``dict``) or
-:func:`set_kernels_backend`.  Both paths are required to produce
-**byte-identical** results -- same constraints, same order, same
-fresh-wildcard minting -- which the testkit's ``kernels_backend``
-differential check and the CI ``kernels-smoke`` byte-diff pin down.
 Invariant relied on throughout: EQ rows are sign-canonical (first
 nonzero coefficient positive), exactly like :class:`Constraint`.
 """
 
-import os
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,48 +47,6 @@ EQ_ROW = 1
 
 #: A row block: (index, name -> column, rows).
 Block = Tuple[Tuple[str, ...], Dict[str, int], Tuple[Tuple[int, ...], ...]]
-
-_BACKENDS = ("dense", "dict")
-
-#: Hot call sites read this module attribute directly (one load, like
-#: ``stats.ENABLED``); keep it in sync with :func:`set_kernels_backend`.
-DENSE = True
-
-
-def _init_backend() -> None:
-    global DENSE
-    name = os.environ.get("REPRO_KERNELS", "dense")
-    if name not in _BACKENDS:
-        raise ValueError(
-            "REPRO_KERNELS must be one of %s, got %r" % (_BACKENDS, name)
-        )
-    DENSE = name == "dense"
-
-
-def kernels_backend() -> str:
-    """The active constraint substrate: ``"dense"`` or ``"dict"``."""
-    return "dense" if DENSE else "dict"
-
-
-def set_kernels_backend(name: str) -> str:
-    """Select the constraint substrate; returns the previous one.
-
-    Both substrates produce byte-identical results (the differential
-    tests prove it), so switching at any time is safe: cached
-    normalize memos and satisfiability entries computed by the other
-    backend remain valid.
-    """
-    global DENSE
-    if name not in _BACKENDS:
-        raise ValueError(
-            "kernels backend must be one of %s, got %r" % (_BACKENDS, name)
-        )
-    previous = kernels_backend()
-    DENSE = name == "dense"
-    return previous
-
-
-_init_backend()
 
 
 # -- row block construction / materialization ---------------------------
@@ -158,8 +109,7 @@ def normalize_rows(
 ) -> Optional[Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]]:
     """One dense canonicalization pass over a row block.
 
-    Mirrors the first phase of the dict path's ``_normalize_once``
-    exactly -- same arithmetic, same ordering:
+    The first phase of ``Conjunct._normalize_once``:
 
     * constant rows are dropped (or kill the conjunct);
     * EQ rows are divided by the gcd of all entries; when the
@@ -199,8 +149,7 @@ def normalize_rows(
         else:
             g = gcd(*coeffs)
             if g > 1:
-                # g > 0, so Python's // is the floor division the
-                # dict path spells floor_div(const, g).
+                # g > 0, so // floors the constant (tightening).
                 const //= g
                 coeffs = tuple(cf // g for cf in coeffs)
             prev = geq_const.get(coeffs)
@@ -393,7 +342,6 @@ def combine_scaled(
 
 __all__ = [
     "Block",
-    "DENSE",
     "EQ_ROW",
     "GEQ_ROW",
     "bounds_profiles",
@@ -401,9 +349,7 @@ __all__ = [
     "combine_scaled",
     "constraint_from_row",
     "fm_combine",
-    "kernels_backend",
     "normalize_rows",
     "row_from_affine",
     "rows_from_constraints",
-    "set_kernels_backend",
 ]

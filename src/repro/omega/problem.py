@@ -13,7 +13,7 @@ Stride constraints ``c | e`` are stored as ``c·w == e`` for a wildcard
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core import stats
-from repro.intarith import floor_div, gcd_list
+from repro.intarith import gcd_list
 from repro.omega import kernels
 from repro.omega.affine import Affine
 from repro.omega.constraints import EQ, GEQ, Constraint, fresh_var
@@ -314,17 +314,10 @@ class Conjunct:
     def _normalize_once(self) -> Optional["Conjunct"]:
         """One canonicalization pass (see :meth:`normalize`).
 
-        Dispatches on the active kernels backend: the dense path runs
-        the scale/tighten/merge sweep on the conjunct's row block
-        (:func:`repro.omega.kernels.normalize_rows`), the dict path on
-        the Affine-backed constraints.  Both produce byte-identical
-        results; the stride canonicalization tail is shared.
+        The scale/tighten/merge sweep runs on the conjunct's row block
+        (:func:`repro.omega.kernels.normalize_rows`); the stride
+        canonicalization tail runs on the materialized constraints.
         """
-        if kernels.DENSE:
-            return self._normalize_once_dense()
-        return self._normalize_once_dict()
-
-    def _normalize_once_dense(self) -> Optional["Conjunct"]:
         index, pos, rows = self._row_block()
         if stats.ENABLED:
             stats.bump("kernel_rows_normalized", len(rows))
@@ -346,67 +339,14 @@ class Conjunct:
         ]
         return self._finish_normalize(eqs, out_geqs)
 
-    def _normalize_once_dict(self) -> Optional["Conjunct"]:
-        geqs: Dict[Tuple, Constraint] = {}
-        eqs: List[Constraint] = []
-        for c in self.constraints:
-            if c.is_trivial_true():
-                continue
-            if c.is_trivial_false():
-                return None
-            expr = c.expr
-            if c.is_eq():
-                g = gcd_list([cf for _, cf in expr.coeffs] + [expr.const])
-                if g > 1:
-                    expr = expr.exact_div(g)
-                gv = expr.content()
-                if gv and expr.const % gv:
-                    return None
-                eqs.append(Constraint.eq(expr))
-            else:
-                g = expr.content()
-                if g > 1:
-                    expr = Affine(
-                        {v: cf // g for v, cf in expr.coeffs},
-                        floor_div(expr.const, g),
-                    )
-                key = expr.coeffs
-                prev = geqs.get(key)
-                if prev is None or expr.const < prev.expr.const:
-                    geqs[key] = Constraint.geq(expr)
-
-        # Opposed parallel inequality pairs.
-        out_geqs: List[Constraint] = []
-        new_eqs: List[Constraint] = []
-        for key, c in list(geqs.items()):
-            neg_key = tuple((v, -cf) for v, cf in key)
-            opp = geqs.get(neg_key)
-            if opp is None:
-                out_geqs.append(c)
-                continue
-            # c: e + c1 >= 0, opp: -e + c2 >= 0  =>  -c1 <= e <= c2
-            c1, c2 = c.expr.const, opp.expr.const
-            if c2 < -c1:
-                return None
-            if c2 == -c1:
-                if key and key[0][1] > 0:  # emit the equality only once
-                    new_eqs.append(Constraint.eq(c.expr))
-            else:
-                out_geqs.append(c)
-
-        eqs.extend(new_eqs)
-        return self._finish_normalize(eqs, out_geqs)
-
     def _finish_normalize(
         self, eqs: List[Constraint], out_geqs: List[Constraint]
     ) -> Optional["Conjunct"]:
-        """Shared normalization tail: canonicalize stride equalities.
+        """Normalization tail: canonicalize stride equalities.
 
-        Runs on materialized constraints under both kernels backends
-        (stride handling is name- and wildcard-centric, and it is the
-        only part of normalization that mints fresh variables -- keeping
-        it shared keeps the minting order, and therefore the output,
-        byte-identical between backends).
+        Runs on materialized constraints: stride handling is name- and
+        wildcard-centric, and it is the only part of normalization that
+        mints fresh variables.
         """
         stride_eqs: List[Constraint] = []
         stride_seen: Dict[Tuple, str] = {}
@@ -481,9 +421,11 @@ class Conjunct:
         ``(b, β)`` meaning β <= b·var (b > 0), ``uppers`` a list of
         ``(a, α)`` meaning a·var <= α (a > 0), and ``rest`` the
         constraints not mentioning ``var``.  Equalities mentioning
-        ``var`` are a caller error (eliminate them first).
+        ``var`` are a caller error (eliminate them first).  A conjunct
+        that already carries its row block classifies on the rows;
+        any other scans its constraints directly.
         """
-        if kernels.DENSE and self._rows is not None:
+        if self._rows is not None:
             return self._bounds_on_dense(var)
         lowers: List[Tuple[int, Affine]] = []
         uppers: List[Tuple[int, Affine]] = []
@@ -557,32 +499,12 @@ class Conjunct:
 
         Maps each variable to ``(n_lowers, n_uppers, all_unit_lowers,
         all_unit_uppers)`` over the GEQ constraints -- the facts the
-        satisfiability loop needs to pick its elimination variable.
-        Under the dense backend this is a single sweep of the row
-        block; the dict path derives the same facts per variable from
-        :meth:`bounds_on`.
+        satisfiability loop needs to pick its elimination variable --
+        from a single sweep of the row block.
         """
-        if kernels.DENSE:
-            index, pos, rows = self._row_block()
-            profiles = kernels.bounds_profiles(rows, len(index) + 2)
-            return {v: profiles[pos[v]] for v in index}
-        out: Dict[str, List] = {
-            v: [0, 0, True, True] for v in self.variables()
-        }
-        for c in self.constraints:
-            if c.is_eq():
-                continue
-            for v, cf in c.expr.coeffs:
-                profile = out[v]
-                if cf > 0:
-                    profile[0] += 1
-                    if cf != 1:
-                        profile[2] = False
-                else:
-                    profile[1] += 1
-                    if cf != -1:
-                        profile[3] = False
-        return {v: tuple(p) for v, p in out.items()}
+        index, pos, rows = self._row_block()
+        profiles = kernels.bounds_profiles(rows, len(index) + 2)
+        return {v: profiles[pos[v]] for v in index}
 
     # -- evaluation -----------------------------------------------------------
 

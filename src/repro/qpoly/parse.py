@@ -5,6 +5,12 @@
 ``(Σ V : P : z)``.  Supports +, -, *, **, integer literals, variables
 and parentheses (full polynomial arithmetic, unlike the affine
 expressions of the constraint language).
+
+Parsing expands products and powers, and a short text can expand to
+a huge polynomial (``(i+j+k)**80`` has 3,321 terms).  The parser
+therefore counts the term products of every multiplication it does,
+``len(a.terms) * len(b.terms)``, and rejects the summand once their
+total passes :data:`TERM_PRODUCT_LIMIT`.
 """
 
 import re
@@ -14,8 +20,11 @@ from repro.qpoly.polynomial import Polynomial
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9']*)"
-    r"|(?P<op>\*\*|[-+*()]))"
+    r"|(?P<op>\*\*|[-+*()])|(?P<bad>\S))"
 )
+
+#: Most term products one summand's expansion may take.
+TERM_PRODUCT_LIMIT = 4000
 
 
 class PolynomialParseError(ValueError):
@@ -24,17 +33,14 @@ class PolynomialParseError(ValueError):
 
 def parse_polynomial(text: str) -> Polynomial:
     tokens: List[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise PolynomialParseError(
-                    "unexpected character %r" % text[pos]
-                )
-            break
-        tokens.append(m.group(m.lastgroup))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise PolynomialParseError(
+                "unexpected character %r at %d"
+                % (m.group(kind), m.start(kind))
+            )
+        tokens.append(m.group(kind))
     state = _State(tokens)
     poly = _sum(state)
     if state.peek() is not None:
@@ -46,6 +52,7 @@ class _State:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.products = 0
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -56,6 +63,31 @@ class _State:
             raise PolynomialParseError("unexpected end of input")
         self.pos += 1
         return tok
+
+    def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        """``a * b``, its term products charged before it is expanded."""
+        self.products += len(a.terms) * len(b.terms)
+        if self.products > TERM_PRODUCT_LIMIT:
+            raise PolynomialParseError(
+                "summand too large: expanding it takes more than %d"
+                " term products" % TERM_PRODUCT_LIMIT
+            )
+        return a * b
+
+    def power(self, base: Polynomial, exp: int) -> Polynomial:
+        """``base ** exp``, squaring as ``Polynomial.__pow__`` does.
+
+        Each product is charged through :meth:`mul`, so a rejected
+        power stops before its largest squaring.
+        """
+        result = Polynomial.constant(1)
+        while exp:
+            if exp & 1:
+                result = self.mul(result, base)
+            exp >>= 1
+            if exp:
+                base = self.mul(base, base)
+        return result
 
 
 def _sum(s: _State) -> Polynomial:
@@ -71,7 +103,7 @@ def _product(s: _State) -> Polynomial:
     value = _power(s)
     while s.peek() == "*":
         s.next()
-        value = value * _power(s)
+        value = s.mul(value, _power(s))
     return value
 
 
@@ -88,7 +120,7 @@ def _power(s: _State) -> Polynomial:
         exp = s.next()
         if not exp.isdigit():
             raise PolynomialParseError("exponent must be an integer")
-        return base ** int(exp)
+        return s.power(base, int(exp))
     return base
 
 

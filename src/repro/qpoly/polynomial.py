@@ -189,8 +189,9 @@ class Polynomial:
         while exp:
             if exp & 1:
                 result = result * base
-            base = base * base
             exp >>= 1
+            if exp:  # the square after the last bit would go unused
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

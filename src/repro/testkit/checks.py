@@ -28,10 +28,6 @@ The invariants:
 * ``answer_memo`` -- counting with the answer memo enabled (cold and
   warm) serializes and evaluates identically to counting with it
   disabled, int-vs-Fraction types included.
-* ``kernels_backend`` -- the dense row kernels and the dict-backed
-  Affine path produce byte-identical serialized answers and evaluated
-  values (the ``REPRO_KERNELS`` contract), each computed from a cold
-  engine so neither backend can ride the other's caches.
 * ``genfunc_backend`` -- the generating-function backend
   (:mod:`repro.genfunc`), both through the router (fallback included)
   and engine-against-engine on the concretized formula, agrees with
@@ -448,58 +444,6 @@ def check_answer_memo(case: FuzzCase) -> Optional[CheckFailure]:
     return None
 
 
-def check_kernels_backend(case: FuzzCase) -> Optional[CheckFailure]:
-    """Dense and dict kernels produce byte-identical answers.
-
-    Runs the same count/sum under ``REPRO_KERNELS=dense`` and
-    ``REPRO_KERNELS=dict`` semantics, each from a cold engine (cleared
-    satisfiability cache and answer memo, reset fresh-name counter, so
-    neither backend is answered from the other's cached work), and
-    compares the serialized ``SymbolicSum`` byte-for-byte plus the
-    evaluated values with their int-vs-Fraction types.
-    """
-    import json
-
-    from repro.core.memo import clear_answer_memo
-    from repro.omega import set_kernels_backend
-    from repro.omega.constraints import reset_fresh_counter
-    from repro.omega.satisfiability import clear_sat_cache
-
-    poly = parse_polynomial(case.poly_text) if case.poly_text else 1
-
-    def run(backend):
-        previous = set_kernels_backend(backend)
-        try:
-            clear_sat_cache()
-            clear_answer_memo()
-            reset_fresh_counter()
-            return sum_poly(case.formula, list(case.over), poly)
-        finally:
-            set_kernels_backend(previous)
-
-    dense = run("dense")
-    dict_ = run("dict")
-    dense_json = json.dumps(dense.to_json(), sort_keys=True)
-    dict_json = json.dumps(dict_.to_json(), sort_keys=True)
-    if dense_json != dict_json:
-        return CheckFailure(
-            "kernels_backend",
-            "dense serialization diverged from dict: %s != %s"
-            % (dense_json[:200], dict_json[:200]),
-            case,
-        )
-    for env in case.envs:
-        want = dict_.evaluate(env)
-        got = dense.evaluate(env)
-        if got != want or type(got) is not type(want):
-            return CheckFailure(
-                "kernels_backend",
-                "dense %r != dict %r at %s" % (got, want, dict(env)),
-                case,
-            )
-    return None
-
-
 def check_genfunc_backend(case: FuzzCase) -> Optional[CheckFailure]:
     """The generating-function backend agrees with the recursion.
 
@@ -739,7 +683,6 @@ CHECKS: Dict[str, Tuple[int, Callable[[FuzzCase], Optional[CheckFailure]]]] = {
     "simplify_value": (3, check_simplify_value),
     "compiled_eval": (2, check_compiled_eval),
     "answer_memo": (2, check_answer_memo),
-    "kernels_backend": (2, check_kernels_backend),
     "genfunc_backend": (2, check_genfunc_backend),
     "automaton_backend": (2, check_automaton_backend),
     "formula_simplify": (7, check_formula_simplify),

@@ -102,20 +102,6 @@ class TestCountersFire:
         assert "residue_cases" in counters
 
 
-class TestTimers:
-    def test_timer_records_when_enabled(self):
-        stats.enable_stats()
-        with stats.timer("example"):
-            sum(range(1000))
-        snap = stats.stats_snapshot()
-        assert snap["time_example"] >= 0.0
-
-    def test_timer_noop_when_disabled(self):
-        with stats.timer("example"):
-            pass
-        assert "time_example" not in stats.stats_snapshot()
-
-
 class TestFormat:
     def test_format_lists_every_counter(self):
         with stats.collecting_stats():

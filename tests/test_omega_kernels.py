@@ -1,16 +1,15 @@
-"""Dense row kernels: backend switch, round-trips, pinned edge cases.
+"""Dense row kernels: round-trips, pinned edge cases, building blocks.
 
-The ``repro.omega.kernels`` substrate must be byte-identical to the
-dict-backed Affine path.  Beyond the fuzz-level differential check
-(``kernels_backend`` in the testkit), this file pins the normalize
-edge cases the dense sweep re-implements -- opposed-pair collapse,
-stride representative tie-breaking, empty-interval kill -- against
-*both* backends explicitly, plus the row-level building blocks.
+``repro.omega.kernels`` is the substrate ``Conjunct.normalize`` and
+the Fourier-Motzkin steps run on.  This file pins the normalize edge
+cases the row sweep must get right -- opposed-pair collapse, stride
+representative tie-breaking, empty-interval kill -- plus the row-level
+building blocks.  The brute-force property in
+``test_property_omega.py`` checks normalize against integer points.
 """
 
 import pytest
 
-from repro.omega import kernels
 from repro.omega.affine import Affine
 from repro.omega.constraints import EQ, GEQ, Constraint
 from repro.omega.kernels import (
@@ -20,10 +19,8 @@ from repro.omega.kernels import (
     bounds_split,
     constraint_from_row,
     fm_combine,
-    kernels_backend,
     normalize_rows,
     rows_from_constraints,
-    set_kernels_backend,
 )
 from repro.omega.problem import Conjunct
 
@@ -34,43 +31,6 @@ def geq(coeffs, const=0):
 
 def eq(coeffs, const=0):
     return Constraint.eq(Affine(coeffs, const))
-
-
-@pytest.fixture(params=["dense", "dict"])
-def backend(request):
-    previous = set_kernels_backend(request.param)
-    yield request.param
-    set_kernels_backend(previous)
-
-
-class TestBackendSwitch:
-    def test_default_is_dense(self):
-        assert kernels_backend() in ("dense", "dict")
-
-    def test_set_returns_previous(self):
-        start = kernels_backend()
-        try:
-            assert set_kernels_backend("dict") == start
-            assert kernels_backend() == "dict"
-            assert set_kernels_backend("dense") == "dict"
-            assert kernels_backend() == "dense"
-        finally:
-            set_kernels_backend(start)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_kernels_backend("sparse")
-
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "bogus")
-        with pytest.raises(ValueError):
-            kernels._init_backend()
-        monkeypatch.setenv("REPRO_KERNELS", "dict")
-        kernels._init_backend()
-        assert kernels_backend() == "dict"
-        monkeypatch.delenv("REPRO_KERNELS")
-        kernels._init_backend()
-        assert kernels_backend() == "dense"
 
 
 class TestRowRoundTrip:
@@ -125,9 +85,9 @@ class TestNormalizeRowsKernel:
 
 
 class TestPinnedEdgeCases:
-    """The ISSUE-named normalize edge cases, pinned per backend."""
+    """Normalize edge cases the row sweep re-implements."""
 
-    def test_opposed_pair_collapse_single_eq(self, backend):
+    def test_opposed_pair_collapse_single_eq(self):
         # x + 2y >= 4 and x + 2y <= 4 pin the expression: exactly one
         # EQ must come out, sign-canonical, with both GEQs consumed.
         conj = Conjunct(
@@ -135,7 +95,7 @@ class TestPinnedEdgeCases:
         ).normalize()
         assert list(conj.constraints) == [eq({"x": 1, "y": 2}, -4)]
 
-    def test_opposed_pair_scaled_copies_still_single_eq(self, backend):
+    def test_opposed_pair_scaled_copies_still_single_eq(self):
         # The same interval arriving as scaled duplicates collapses to
         # the same single equality.
         conj = Conjunct(
@@ -147,14 +107,14 @@ class TestPinnedEdgeCases:
         ).normalize()
         assert list(conj.constraints) == [eq({"x": 1, "y": 2}, -4)]
 
-    def test_empty_interval_kill(self, backend):
+    def test_empty_interval_kill(self):
         # x + y >= 5 and x + y <= 3: empty interval, conjunct dies.
         conj = Conjunct(
             [geq({"x": 1, "y": 1}, -5), geq({"x": -1, "y": -1}, 3)]
         ).normalize()
         assert conj is None
 
-    def test_stride_representative_tie_break(self, backend):
+    def test_stride_representative_tie_break(self):
         # 3w == n + 1 and 3w' == -n - 1 describe the same stride; the
         # canonical representative is the lexicographically smaller of
         # the residue pair (r0 vs r1 in _finish_normalize), so both
@@ -170,27 +130,6 @@ class TestPinnedEdgeCases:
         # And normalization is a fixed point: no oscillation between
         # the two representatives on repeated passes.
         assert a.normalize() is a
-
-    def test_wildcard_free_rows_match_dict_backend(self):
-        cases = [
-            [geq({"x": 2, "y": -4}, 7), geq({"x": -2, "y": 4}, -7)],
-            [geq({"x": 6, "y": 9}, 3), geq({"x": 2, "y": 3}, 1)],
-            [eq({"x": 4, "y": 6}, 2), geq({"x": 1}, 0)],
-            [geq({}, 0), geq({"z": 5}, -7), geq({"z": -5}, 7)],
-        ]
-        for cons in cases:
-            previous = set_kernels_backend("dense")
-            try:
-                dense = Conjunct(cons).normalize()
-                set_kernels_backend("dict")
-                dict_ = Conjunct(cons).normalize()
-            finally:
-                set_kernels_backend(previous)
-            if dense is None or dict_ is None:
-                assert dense is None and dict_ is None
-            else:
-                assert dense.constraints == dict_.constraints
-                assert dense.wildcards == dict_.wildcards
 
 
 class TestBoundsKernels:
@@ -217,7 +156,10 @@ class TestBoundsKernels:
     def test_bounds_profiles_matches_bounds_on(self):
         index, pos, rows = rows_from_constraints(self.CONS)
         profiles = bounds_profiles(rows, len(index) + 2)
+        # A fresh conjunct carries no row block, so bounds_on scans its
+        # Affine constraints: the kernel is checked against that branch.
         conj = Conjunct(self.CONS)
+        assert conj._rows is None
         for v in index:
             lowers, uppers, _ = conj.bounds_on(v)
             n_lo, n_up, unit_lo, unit_up = profiles[pos[v]]
@@ -226,39 +168,8 @@ class TestBoundsKernels:
             assert unit_lo == all(b == 1 for b, _ in lowers)
             assert unit_up == all(a == 1 for a, _ in uppers)
 
-    def test_conjunct_bounds_profiles_agree_across_backends(self):
-        conj_cons = self.CONS
-        previous = set_kernels_backend("dense")
-        try:
-            dense = Conjunct(conj_cons).bounds_profiles()
-            set_kernels_backend("dict")
-            dict_ = Conjunct(conj_cons).bounds_profiles()
-        finally:
-            set_kernels_backend(previous)
-        assert dense == dict_
-
 
 class TestFmCombine:
-    def test_matches_dict_shadow(self):
-        from repro.omega.eliminate import dark_shadow, real_shadow
-
-        cons = (
-            geq({"z": 2, "x": 1}, 0),
-            geq({"z": 3, "y": -1}, 4),
-            geq({"z": -2, "x": 3}, 9),
-            geq({"x": 1, "y": 1}, 6),
-        )
-        for dark in (False, True):
-            previous = set_kernels_backend("dense")
-            try:
-                shadow = dark_shadow if dark else real_shadow
-                dense = shadow(Conjunct(cons), "z")
-                set_kernels_backend("dict")
-                dict_ = shadow(Conjunct(cons), "z")
-            finally:
-                set_kernels_backend(previous)
-            assert dense.constraints == dict_.constraints
-
     def test_reuses_untouched_rows(self):
         cons = (
             geq({"z": 2, "x": 1}, 0),
@@ -290,42 +201,3 @@ class TestFmCombine:
         assert len(real) == len(dark) == 1
         assert real[0][1] - dark[0][1] == 2
         assert real[0][pos["z"]] == 0
-
-
-class TestEndToEndDifferential:
-    FORMULAS = [
-        ("1 <= i and i <= n and 2 | i", ["i"]),
-        (
-            "1 <= i and i <= n and 1 <= j and j <= i"
-            " and 3*j <= 2*i + 4 and 6 | (i + 2*j)",
-            ["i", "j"],
-        ),
-        ("0 <= i and 2*i <= n and 3 | (n + i)", ["i"]),
-    ]
-
-    def test_counts_byte_identical(self):
-        import json
-
-        from repro.core import count
-        from repro.core.memo import clear_answer_memo
-        from repro.omega.constraints import reset_fresh_counter
-        from repro.omega.satisfiability import clear_sat_cache
-
-        outs = {}
-        for name in ("dense", "dict"):
-            previous = set_kernels_backend(name)
-            try:
-                serialized = []
-                for formula, over in self.FORMULAS:
-                    clear_sat_cache()
-                    clear_answer_memo()
-                    reset_fresh_counter()
-                    serialized.append(
-                        json.dumps(
-                            count(formula, over).to_json(), sort_keys=True
-                        )
-                    )
-                outs[name] = serialized
-            finally:
-                set_kernels_backend(previous)
-        assert outs["dense"] == outs["dict"]

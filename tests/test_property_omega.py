@@ -57,6 +57,86 @@ def test_satisfiable_equals_brute(rows, with_eq):
     assert satisfiable(conj) == brute(conj)
 
 
+#: Half-width of the normalize property's box.  For x, y within one
+#: step of it, a drawn stride ``m·w == a·x + b·y + c`` (|a|, |b| <= 4,
+#: |c| <= 8, m >= 2) has |w| <= 20, and so has the canonical stride
+#: ``g·s == r`` normalize may rewrite it to (r reduced mod g <= 4):
+#: WILD covers every wildcard value a point can need.
+NBOX = 3
+WILD = range(-20, 21)
+
+coef = st.integers(-3, 3)
+
+
+@st.composite
+def normalize_cases(draw):
+    """A boxed x, y conjunct drawn in the shapes normalize rewrites."""
+    cons = []
+    for v in ("x", "y"):
+        cons.append(Constraint.geq(Affine({v: 1}, NBOX)))
+        cons.append(Constraint.geq(Affine({v: -1}, NBOX)))
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(("geq", "opposed", "scaled", "eq")))
+        a, b, c = draw(coef), draw(coef), draw(st.integers(-8, 8))
+        if shape == "eq":
+            # Scale the coefficients by g: the equality kills the
+            # conjunct when their gcd does not divide c.
+            g = draw(st.integers(1, 3))
+            cons.append(Constraint.eq(Affine({"x": g * a, "y": g * b}, c)))
+            continue
+        cons.append(Constraint.geq(Affine({"x": a, "y": b}, c)))
+        if shape == "opposed":
+            # -c <= a·x + b·y <= -c + gap: empty for gap < 0, pinned to
+            # an equality for gap == 0.
+            gap = draw(st.integers(-2, 2))
+            cons.append(Constraint.geq(Affine({"x": -a, "y": -b}, gap - c)))
+        elif shape == "scaled":
+            k = draw(st.integers(2, 3))
+            cons.append(
+                Constraint.geq(
+                    Affine({"x": k * a, "y": k * b}, draw(st.integers(-8, 8)))
+                )
+            )
+    if not draw(st.booleans()):
+        return Conjunct(cons)
+    # The stride m | a·x + b·y + c.  Coefficients are multiples of m
+    # half the time, so the stride often reduces to its residue alone.
+    m = draw(st.integers(2, 4))
+    stride_coef = st.one_of(st.integers(-1, 1).map(lambda t: t * m), coef)
+    rhs = Affine(
+        {"x": draw(stride_coef), "y": draw(stride_coef)},
+        draw(st.integers(-8, 8)),
+    )
+    cons.append(Constraint.equal(Affine({"w": m}), rhs))
+    return Conjunct(cons, ["w"])
+
+
+def integer_points(conj):
+    """The (x, y) within one step of the box that satisfy ``conj``.
+
+    Wildcards are existential: a point counts when some assignment of
+    them from WILD satisfies every constraint.
+    """
+    if conj is None:
+        return set()
+    wilds = sorted(conj.wildcards)
+    points = set()
+    for x, y in itertools.product(range(-NBOX - 1, NBOX + 2), repeat=2):
+        for values in itertools.product(WILD, repeat=len(wilds)):
+            env = dict(zip(wilds, values), x=x, y=y)
+            if conj.satisfied_by(env):
+                points.add((x, y))
+                break
+    return points
+
+
+@given(normalize_cases())
+@settings(max_examples=150, deadline=None)
+def test_normalize_keeps_integer_points(conj):
+    """normalize() keeps exactly the integer points (brute force)."""
+    assert integer_points(conj.normalize()) == integer_points(conj)
+
+
 @given(rows2)
 @settings(max_examples=60, deadline=None)
 def test_shadow_sandwich(rows):

@@ -31,6 +31,15 @@ MALFORMED = {
     "timeout": "abc",
 }
 
+#: A sum whose summand expands to 3,321 terms: the parser refuses it.
+OVERSIZED_SUM = {
+    "id": "oversized",
+    "kind": "sum",
+    "formula": "1 <= i <= n and 1 <= j <= n and 1 <= k <= n",
+    "over": ["i", "j", "k"],
+    "poly": "(i+j+k)**80",
+}
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
@@ -328,8 +337,8 @@ def start_serve(tmp_path, **env_extra):
     )
 
 
-def post_job(port, job):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+def post_job(port, job, timeout=60):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
     try:
         conn.request("POST", "/job", json.dumps(job))
         reply = conn.getresponse()
@@ -385,3 +394,26 @@ class TestServeProcess:
                 proc.kill()
         assert code == 0
         assert "drained; 2 requests" in out
+
+    def test_oversized_summand_is_a_prompt_parse_error(self, tmp_path):
+        """Hashing parses the summand on the daemon's event loop, so an
+        unbounded expansion would hold every request behind it.  The
+        refusal must arrive well inside a 10 s client timeout, and the
+        daemon must keep answering."""
+        proc = start_serve(tmp_path)
+        try:
+            ready = proc.stderr.readline().decode()
+            port = int(ready.rsplit(":", 1)[1])
+            status, big = post_job(port, OVERSIZED_SUM, timeout=10)
+            assert status == 400, big
+            assert big["error"]["kind"] == "parse_error"
+            assert "term products" in big["error"]["message"]
+            status, fine = post_job(port, COUNT_IJ)
+            assert status == 200 and fine["points"][0]["value"] == 45
+            proc.send_signal(signal.SIGTERM)
+            proc.stderr.read()
+            code = proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup
+                proc.kill()
+        assert code == 0
