@@ -39,26 +39,23 @@ def _shadow(conj: Conjunct, var: str, dark: bool) -> Optional[Conjunct]:
     The incremental FM step: rows not mentioning ``var`` are carried
     into the child block unchanged (counted as ``fm_rows_reused``),
     bound pairs are combined with pure integer arithmetic, and the
-    child conjunct is built with its block pre-attached so the
-    recursion's next normalize/eliminate step starts from rows too.
+    child conjunct is built straight from the combined rows.
     """
     if stats.ENABLED:
         stats.bump("fm_eliminations")
-    index, pos, rows = conj._row_block()
-    col = pos.get(var)
+    col = conj._positions().get(var)
     if col is None:
         # Variable absent: ∃z trivially solvable, everything is "rest".
         return conj.normalize()
-    new_rows, reused, _ = kernels.fm_combine(rows, col, dark)
+    new_rows, reused, _ = kernels.fm_combine(conj._rows, col, dark)
     if stats.ENABLED and reused:
         stats.bump("fm_rows_reused", reused)
     if not conj.wildcards:
         # The common FM-recursion shape: no wildcards means the stride
-        # tail is a no-op, so the child normalizes at row level and
-        # materializes constraints exactly once.
-        return Conjunct._normalized_from_rows(index, pos, new_rows)
+        # tail is a no-op, so the child normalizes at row level.
+        return Conjunct._normalized_from_rows(conj._index, new_rows)
     return Conjunct._from_rows(
-        index, pos, new_rows, conj.wildcards
+        conj._index, new_rows, conj.wildcards
     ).normalize()
 
 
@@ -78,12 +75,15 @@ def elimination_is_exact(conj: Conjunct, var: str) -> bool:
     Sufficient condition from the paper: every (lower, upper) bound
     pair has (a-1)(b-1) == 0, i.e. at least one unit coefficient.
     """
-    lowers, uppers, _ = conj.bounds_on(var)
+    col = conj._positions().get(var)
+    if col is None:
+        return True
+    lowers, uppers, _ = kernels.bounds_split(conj._rows, col)
     if not lowers or not uppers:
         return True
-    if all(b == 1 for b, _ in lowers):
+    if all(row[col] == 1 for row in lowers):
         return True
-    return all(a == 1 for a, _ in uppers)
+    return all(row[col] == -1 for row in uppers)
 
 
 def splinters(conj: Conjunct, var: str) -> List[Conjunct]:
@@ -143,10 +143,10 @@ def _eliminate_exact_inner(conj: Conjunct, var: str) -> List[Conjunct]:
     if conj2 is None:
         return []
     conj = conj2
-    if not conj.uses(var):
+    col = conj._positions().get(var)
+    if col is None:
         return [conj]
-    eq = next((c for c in conj.constraints if c.is_eq() and c.uses(var)), None)
-    if eq is not None:
+    if any(row[0] and row[col] for row in conj._rows):
         return _eliminate_via_equality(conj, var)
     if elimination_is_exact(conj, var):
         shadow = real_shadow(conj, var)

@@ -20,7 +20,6 @@ the Omega test.  Two implementations live here:
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.intarith import IntMatrix, hermite_normal_form, sym_mod
-from repro.omega import kernels
 from repro.omega.affine import Affine
 from repro.omega.constraints import Constraint, fresh_var
 from repro.omega.problem import Conjunct
@@ -68,21 +67,13 @@ def unimodular_mix(
         mapping[old] = Affine(
             {new_vars[j]: v_mat[i, j] for j in range(len(new_vars))}
         )
-    new_cons = []
-    new_eq = None
-    for c in conj.constraints:
-        updated = c
-        for old, repl in mapping.items():
-            updated = updated.substitute(old, repl)
-        new_cons.append(updated)
-        if c == eq:
-            new_eq = updated
-    new_conj = Conjunct(new_cons, conj.wildcards)
-    if new_eq is None:
-        # eq was not part of the conjunct; transform it standalone.
-        new_eq = eq
-        for old, repl in mapping.items():
-            new_eq = new_eq.substitute(old, repl)
+    # The replacements use only the fresh variables, so substituting
+    # one old variable at a time is the simultaneous substitution.
+    new_conj = conj
+    new_eq = eq
+    for old, repl in mapping.items():
+        new_conj = new_conj.substitute(old, repl)
+        new_eq = new_eq.substitute(old, repl)
     assert abs(new_eq.coeff(new_vars[0])) == abs(g)
     return MixResult(new_conj, new_eq, mapping, new_vars, g)
 
@@ -100,10 +91,10 @@ def solve_unit(
         raise ValueError("solve_unit: %s has coefficient %d in %s" % (var, k, eq))
     rest = Affine({v: c for v, c in eq.expr.coeffs if v != var}, eq.expr.const)
     replacement = rest if k == -1 else -rest
-    new = Conjunct(
-        (c for c in conj.constraints if c != eq), conj.wildcards
-    ).substitute(var, replacement)
-    return new, replacement
+    row = conj._row_of(eq)
+    if row is not None and row in conj._rows:
+        return conj._solve_unit(row, conj._positions()[var]), replacement
+    return conj.substitute(var, replacement), replacement
 
 
 def substitute_fractional(
@@ -117,17 +108,7 @@ def substitute_fractional(
     """
     if denominator <= 0:
         raise ValueError("denominator must be positive")
-    new_cons = []
-    for c in conj.constraints:
-        a = c.coeff(var)
-        if a == 0:
-            new_cons.append(c)
-            continue
-        # (c without var)·denominator + numerator·a, as one merge join
-        # over the two sorted coefficient rows.
-        expr = kernels.combine_scaled(c.expr, denominator, numerator, a, var)
-        new_cons.append(Constraint(expr, c.kind))
-    return Conjunct(new_cons, conj.wildcards)
+    return conj.substitute(var, numerator, denominator)
 
 
 class WildcardElimination(NamedTuple):

@@ -1,23 +1,31 @@
-"""Dense integer constraint kernels for the Omega hot core.
+"""Dense integer constraint kernels: the Omega core's only representation.
 
 The engine spends most of its time in ``Conjunct.normalize`` and the
 Fourier-Motzkin elimination loop of ``satisfiable`` -- tiny, repeated
-passes over small conjuncts.  The dict-backed :class:`~repro.omega.affine.Affine`
-representation pays for that generality with object churn: every
-tightening pass allocates fresh Affine/Constraint objects and hashes
-tuples of ``(name, coeff)`` pairs.
-
-This module is the substrate those passes run on: each conjunct gets a
-per-conjunct variable index (a sorted tuple of names), and each
-constraint becomes one flat row of ints
+passes over small conjuncts.  Dict-backed :class:`~repro.omega.affine.Affine`
+objects would pay for every such pass with object churn, so a
+:class:`~repro.omega.problem.Conjunct` holds its constraints as a
+*row block* and nothing else: a sorted tuple of the names it uses (the
+index), and one flat row of ints per constraint
 
     ``(kind, const, c0, c1, ..., cn)``
 
 with the kind bit packed into slot 0 (``0`` = GEQ ``e >= 0``, ``1`` =
 EQ ``e == 0``), the constant in slot 1 and the coefficient of the
-``i``-th index variable in slot ``i + 2``.  Rows are plain tuples:
+``i``-th index name in slot ``i + 2``.  Rows are plain tuples:
 hashable (so dedup is one dict operation on ints), comparable at C
 speed, and cheap to combine with integer arithmetic only.
+``Constraint``/``Affine`` objects are built from rows only when a
+caller reads ``Conjunct.constraints``.
+
+Block invariants, kept by every conjunct:
+
+* EQ rows are sign-canonical: the first nonzero coefficient is
+  positive (or the constant, when there is none), exactly like
+  :class:`Constraint` (:func:`resign`);
+* the index holds exactly the live names: no column is zero in every
+  row (:func:`compact`), so two conjuncts with the same constraints
+  have the same block.
 
 The kernels are *batched*: one pass over a row block replaces a pass
 of per-constraint object rebuilding --
@@ -29,13 +37,11 @@ of per-constraint object rebuilding --
   materializing bound expressions;
 * :func:`fm_combine` -- one Fourier-Motzkin step (real or dark
   shadow) straight on the parent's row block, reusing the untouched
-  rows instead of rebuilding dicts at every recursion step.
-
-Invariant relied on throughout: EQ rows are sign-canonical (first
-nonzero coefficient positive), exactly like :class:`Constraint`.
+  rows instead of rebuilding them at every recursion step.
 """
 
 from math import gcd
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.omega.affine import Affine
@@ -101,6 +107,82 @@ def row_from_affine(
     return tuple(row)
 
 
+def resign(row: Tuple[int, ...]) -> Tuple[int, ...]:
+    """An EQ row in sign-canonical form (GEQ rows are returned as is).
+
+    The first nonzero coefficient must be positive, or the constant
+    when the row has no coefficient -- :class:`Constraint`'s rule, so
+    a row and the constraint it materializes agree on the sign.
+    """
+    if not row[0]:
+        return row
+    for cf in row[2:]:
+        if cf:
+            if cf > 0:
+                return row
+            break
+    else:
+        if row[1] >= 0:
+            return row
+    return (row[0],) + tuple([-x for x in row[1:]])
+
+
+def compact(
+    index: Tuple[str, ...], rows: Sequence[Tuple[int, ...]]
+) -> Tuple[Tuple[str, ...], Tuple[Tuple[int, ...], ...]]:
+    """Drop the index columns that are zero in every row.
+
+    Returns ``(index, rows)`` unchanged (as the same objects) when
+    every column is live.
+    """
+    if not index:
+        return index, rows
+    if not rows:
+        return (), rows
+    columns = zip(*rows)
+    next(columns)  # kinds
+    next(columns)  # constants
+    flags = list(map(any, columns))
+    if all(flags):
+        return index, rows
+    live = [j for j, flag in enumerate(flags, 2) if flag]
+    pick = itemgetter(0, 1, *live)
+    return tuple([index[j - 2] for j in live]), tuple(map(pick, rows))
+
+
+def reindex(
+    index: Tuple[str, ...],
+    rows: Sequence[Tuple[int, ...]],
+    wider: Tuple[str, ...],
+) -> Sequence[Tuple[int, ...]]:
+    """Rows over ``index`` re-laid over ``wider``, a sorted superset.
+
+    Columns of names new to the block are zero.  Both indexes are
+    sorted, so a row's nonzero entries keep their relative order and
+    sign-canonical EQ rows stay canonical.
+    """
+    if wider == index:
+        return rows
+    old = {v: j for j, v in enumerate(index, 2)}
+    zero = len(index) + 2
+    pick = itemgetter(0, 1, *[old.get(v, zero) for v in wider])
+    return [pick(row + (0,)) for row in rows]
+
+
+def union_index(a: Tuple[str, ...], b: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The sorted union of two sorted indexes."""
+    if a == b or not b:
+        return a
+    if not a:
+        return b
+    merged = set(a).union(b)
+    if len(merged) == len(a):
+        return a
+    if len(merged) == len(b):
+        return b
+    return tuple(sorted(merged))
+
+
 # -- batched kernels ----------------------------------------------------
 
 
@@ -141,7 +223,7 @@ def normalize_rows(
             g = gcd(gv, const)
             if g > 1:
                 const //= g
-                coeffs = tuple(cf // g for cf in coeffs)
+                coeffs = tuple([cf // g for cf in coeffs])
                 gv //= g
             if const % gv:
                 return None
@@ -151,7 +233,7 @@ def normalize_rows(
             if g > 1:
                 # g > 0, so // floors the constant (tightening).
                 const //= g
-                coeffs = tuple(cf // g for cf in coeffs)
+                coeffs = tuple([cf // g for cf in coeffs])
             prev = geq_const.get(coeffs)
             if prev is None or const < prev:
                 geq_const[coeffs] = const
@@ -159,7 +241,7 @@ def normalize_rows(
     out_geqs: List[Tuple[int, ...]] = []
     new_eqs: List[Tuple[int, ...]] = []
     for coeffs, const in list(geq_const.items()):
-        neg = tuple(-cf for cf in coeffs)
+        neg = tuple([-cf for cf in coeffs])
         opp = geq_const.get(neg)
         if opp is None:
             out_geqs.append((GEQ_ROW, const) + coeffs)
@@ -282,74 +364,19 @@ def fm_combine(
     return tuple(out), len(rest), False
 
 
-def combine_scaled(
-    expr: Affine, scale: int, addend: Affine, addend_scale: int, drop: str
-) -> Affine:
-    """``(expr without drop)·scale + addend·addend_scale`` in one merge.
-
-    The dense form of the ``rest * denominator + numerator * a`` step
-    in fractional substitution: both coefficient lists are name-sorted,
-    so a single merge join produces the (sorted, zero-free) result
-    without intermediate Affine allocations.
-    """
-    a_items = expr.coeffs
-    b_items = addend.coeffs
-    out: List[Tuple[str, int]] = []
-    i = j = 0
-    na, nb = len(a_items), len(b_items)
-    while i < na and j < nb:
-        va, ca = a_items[i]
-        vb, cb = b_items[j]
-        if va == vb:
-            if va != drop:
-                cf = ca * scale + cb * addend_scale
-                if cf:
-                    out.append((va, cf))
-            else:
-                cf = cb * addend_scale  # drop only expr's own term
-                if cf:
-                    out.append((va, cf))
-            i += 1
-            j += 1
-        elif va < vb:
-            if va != drop:
-                cf = ca * scale
-                if cf:
-                    out.append((va, cf))
-            i += 1
-        else:
-            cf = cb * addend_scale
-            if cf:
-                out.append((vb, cf))
-            j += 1
-    while i < na:
-        va, ca = a_items[i]
-        if va != drop:
-            cf = ca * scale
-            if cf:
-                out.append((va, cf))
-        i += 1
-    while j < nb:
-        vb, cb = b_items[j]
-        cf = cb * addend_scale
-        if cf:
-            out.append((vb, cf))
-        j += 1
-    return Affine._from_sorted(
-        tuple(out), expr.const * scale + addend.const * addend_scale
-    )
-
-
 __all__ = [
     "Block",
     "EQ_ROW",
     "GEQ_ROW",
     "bounds_profiles",
     "bounds_split",
-    "combine_scaled",
+    "compact",
     "constraint_from_row",
     "fm_combine",
     "normalize_rows",
+    "reindex",
+    "resign",
     "row_from_affine",
     "rows_from_constraints",
+    "union_index",
 ]

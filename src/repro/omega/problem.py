@@ -5,18 +5,28 @@ constraints over named integer variables, together with a set of
 *wildcard* variables that are implicitly existentially quantified
 (the "auxiliary variables" of the paper's projected format).
 
+A conjunct's state is its dense row block (:mod:`repro.omega.kernels`):
+the sorted tuple of the names it uses, one int row per constraint and
+the wildcard set.  Normalize, substitution, renaming, merging, bounds
+and the satisfiability and Fourier-Motzkin steps all run on the rows.
+:attr:`Conjunct.constraints` is a view: a tuple of
+:class:`~repro.omega.constraints.Constraint` objects built from the
+rows the first time something reads it (printing, canonical keys,
+callers outside the Omega core), then kept.  A conjunct built from
+constraints keeps the ones it was given as that view.
+
 Stride constraints ``c | e`` are stored as ``c·w == e`` for a wildcard
 ``w`` that appears in no other constraint ("stride-only" wildcards);
 :meth:`Conjunct.stride_view` recovers the readable form.
 """
 
+from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core import stats
-from repro.intarith import gcd_list
 from repro.omega import kernels
 from repro.omega.affine import Affine
-from repro.omega.constraints import EQ, GEQ, Constraint, fresh_var
+from repro.omega.constraints import EQ, Constraint, fresh_var
 
 #: Sentinel for "normalize() has not run yet on this instance".
 _MEMO_UNSET = object()
@@ -26,6 +36,10 @@ _EMPTY_FROZENSET = frozenset()
 #: Master switch for the per-instance normalize memo (the differential
 #: tests turn it off to prove memoization never changes results).
 _NORMALIZE_MEMO_ENABLED = True
+
+_set = object.__setattr__
+
+Row = Tuple[int, ...]
 
 
 def set_normalize_memo(enabled: bool) -> bool:
@@ -39,31 +53,40 @@ def set_normalize_memo(enabled: bool) -> bool:
 class Conjunct:
     """An immutable conjunction ``∃ wildcards . c1 ∧ c2 ∧ ...``."""
 
-    __slots__ = ("constraints", "wildcards", "_hash", "_normalized", "_rows")
+    __slots__ = (
+        "_index",
+        "_rows",
+        "wildcards",
+        "_pos",
+        "_cons",
+        "_hash",
+        "_normalized",
+    )
 
     def __init__(
         self,
         constraints: Iterable[Constraint] = (),
         wildcards: Iterable[str] = (),
     ):
-        cons = tuple(dict.fromkeys(constraints))
-        object.__setattr__(
-            self,
-            "constraints",
-            cons,
-        )
+        cons = tuple(constraints)
+        index, pos, rows = kernels.rows_from_constraints(cons)
+        if len(dict.fromkeys(rows)) != len(rows):
+            first: Dict[Row, Constraint] = {}
+            for row, c in zip(rows, cons):
+                first.setdefault(row, c)
+            rows, cons = tuple(first), tuple(first.values())
         wildcards = tuple(wildcards)
         if wildcards:
-            used = set()
-            for c in cons:
-                used.update(c.variables())
-            wildset = frozenset(w for w in wildcards if w in used)
+            wildset = frozenset(w for w in wildcards if w in pos)
         else:
             wildset = _EMPTY_FROZENSET
-        object.__setattr__(self, "wildcards", wildset)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_normalized", _MEMO_UNSET)
-        object.__setattr__(self, "_rows", None)
+        _set(self, "_index", index)
+        _set(self, "_rows", rows)
+        _set(self, "wildcards", wildset)
+        _set(self, "_pos", pos)
+        _set(self, "_cons", cons)
+        _set(self, "_hash", None)
+        _set(self, "_normalized", _MEMO_UNSET)
 
     def __setattr__(self, name, value):
         raise AttributeError("Conjunct is immutable")
@@ -79,59 +102,79 @@ class Conjunct:
         """The canonical unsatisfiable conjunct ``-1 >= 0``."""
         return cls([Constraint.geq(Affine.const_expr(-1))])
 
-    # -- dense row block (repro.omega.kernels substrate) -----------------
+    @property
+    def constraints(self) -> Tuple[Constraint, ...]:
+        """The constraints, one per row, built on first read."""
+        cons = self._cons
+        if cons is None:
+            index = self._index
+            cons = tuple(
+                [kernels.constraint_from_row(index, row) for row in self._rows]
+            )
+            _set(self, "_cons", cons)
+        return cons
 
-    def _row_block(self) -> "kernels.Block":
-        """The conjunct's dense row block, built once per instance.
+    # -- row block ---------------------------------------------------------
 
-        Conjuncts produced by the kernels (normalize fast path, FM
-        combination) arrive with the block pre-attached, so the hot
-        elimination recursion never rebuilds it from the dict-backed
-        constraints.
+    @classmethod
+    def _make(
+        cls,
+        index: Tuple[str, ...],
+        rows: Tuple[Row, ...],
+        wildcards: FrozenSet[str],
+        pos: Optional[Dict[str, int]] = None,
+        cons: Optional[Tuple[Constraint, ...]] = None,
+    ) -> "Conjunct":
+        """A conjunct over a block that already keeps the invariants.
+
+        ``rows`` are distinct and sign-canonical over ``index``, every
+        index column is live, and ``wildcards`` is a subset of the
+        index.  ``pos`` and ``cons`` are views of the same block, if the
+        caller has them.
         """
-        block = self._rows
-        if block is None:
-            block = kernels.rows_from_constraints(self.constraints)
-            object.__setattr__(self, "_rows", block)
-        return block
+        conj = object.__new__(cls)
+        _set(conj, "_index", index)
+        _set(conj, "_rows", rows)
+        _set(conj, "wildcards", wildcards)
+        _set(conj, "_pos", pos)
+        _set(conj, "_cons", cons)
+        _set(conj, "_hash", None)
+        _set(conj, "_normalized", _MEMO_UNSET)
+        return conj
 
     @classmethod
     def _from_rows(
         cls,
         index: Tuple[str, ...],
-        pos: Dict[str, int],
-        rows: Iterable[Tuple[int, ...]],
-        wildcards: Iterable[str],
+        rows: Iterable[Row],
+        wildcards: Iterable[str] = (),
     ) -> "Conjunct":
-        """Build a conjunct straight from a dense row block.
+        """Build a conjunct from sign-canonical rows over ``index``.
 
-        Mirrors the constructor's constraint dedup at the row level
-        (rows over a shared index map bijectively onto constraints),
-        then attaches the block so downstream kernels reuse it.
+        The row-level counterpart of the constructor: duplicate rows
+        are dropped (first occurrence kept), columns no row uses leave
+        the index, and wildcards the rows do not use are dropped.
         """
         rows = tuple(dict.fromkeys(rows))
-        conj = cls(
-            [kernels.constraint_from_row(index, row) for row in rows],
-            wildcards,
-        )
-        object.__setattr__(conj, "_rows", (index, pos, rows))
-        return conj
+        index, rows = kernels.compact(index, rows)
+        if wildcards:
+            wildset = frozenset(w for w in wildcards if w in index)
+        else:
+            wildset = _EMPTY_FROZENSET
+        return cls._make(index, rows, wildset)
 
     @classmethod
     def _normalized_from_rows(
-        cls,
-        index: Tuple[str, ...],
-        pos: Dict[str, int],
-        rows: Iterable[Tuple[int, ...]],
+        cls, index: Tuple[str, ...], rows: Iterable[Row]
     ) -> Optional["Conjunct"]:
         """Normalize a wildcard-free row block entirely at row level.
 
         With no wildcards the stride tail of :meth:`_finish_normalize`
-        is the identity, so the whole normalize fixed point can run on
-        rows and materialize constraints exactly once -- the shape of
-        every Fourier-Motzkin child in the satisfiability recursion.
-        Produces the same conjunct (same order, same memo state) as
-        building the raw conjunct and calling :meth:`normalize`.
+        is the identity, so the whole normalize fixed point runs on
+        the rows -- the shape of every Fourier-Motzkin child in the
+        satisfiability recursion.  Produces the same conjunct (same
+        order, same memo state) as building the raw conjunct and
+        calling :meth:`normalize`.
         """
         if stats.ENABLED:
             stats.bump("normalize_calls")
@@ -148,40 +191,103 @@ class Conjunct:
             if out == rows:
                 break
             rows = out
-        conj = cls._from_rows(index, pos, rows, ())
+        conj = cls._from_rows(index, rows)
         if _NORMALIZE_MEMO_ENABLED:
-            object.__setattr__(conj, "_normalized", conj)
+            _set(conj, "_normalized", conj)
         return conj
 
+    def _positions(self) -> Dict[str, int]:
+        """Name -> row slot of every index name, built once."""
+        pos = self._pos
+        if pos is None:
+            pos = {v: j for j, v in enumerate(self._index, 2)}
+            _set(self, "_pos", pos)
+        return pos
+
+    def _row_of(self, constraint: Constraint) -> Optional[Row]:
+        """``constraint`` as a row over this block's index.
+
+        ``None`` when it uses a name outside the index (so it cannot be
+        one of this conjunct's rows).
+        """
+        kind = kernels.EQ_ROW if constraint.kind == EQ else kernels.GEQ_ROW
+        try:
+            return kernels.row_from_affine(
+                self._positions(), len(self._index) + 2, constraint.expr, kind
+            )
+        except KeyError:
+            return None
+
+    def _with_rows(
+        self,
+        index: Tuple[str, ...],
+        rows: Iterable[Row],
+        wildcards: Iterable[str] = (),
+    ) -> "Conjunct":
+        """This conjunct's rows followed by ``rows`` over ``index``.
+
+        ``rows`` use every name of ``index`` that this conjunct does
+        not, so no column of the result is dead; ``wildcards`` must be
+        used by ``rows``.
+        """
+        wider = kernels.union_index(self._index, index)
+        combined = tuple(
+            dict.fromkeys(
+                list(kernels.reindex(self._index, self._rows, wider))
+                + list(kernels.reindex(index, rows, wider))
+            )
+        )
+        wildset = self.wildcards.union(wildcards)
+        return Conjunct._make(wider, combined, wildset)
+
     def variables(self) -> Tuple[str, ...]:
+        """Used names in order of first occurrence (row by row, each
+        row in name order)."""
+        index = self._index
         seen: Dict[str, None] = {}
-        for c in self.constraints:
-            for v in c.variables():
-                seen.setdefault(v, None)
+        for row in self._rows:
+            for j, v in enumerate(index, 2):
+                if row[j]:
+                    seen[v] = None
+            if len(seen) == len(index):
+                break
         return tuple(seen)
 
     def free_variables(self) -> Tuple[str, ...]:
         return tuple(v for v in self.variables() if v not in self.wildcards)
 
     def geqs(self) -> List[Constraint]:
-        return [c for c in self.constraints if c.is_geq()]
+        return [
+            c for c, row in zip(self.constraints, self._rows) if not row[0]
+        ]
 
     def eqs(self) -> List[Constraint]:
-        return [c for c in self.constraints if c.is_eq()]
+        return [c for c, row in zip(self.constraints, self._rows) if row[0]]
 
     def is_trivial_true(self) -> bool:
-        return not self.constraints
+        return not self._rows
 
     def uses(self, var: str) -> bool:
-        return any(c.uses(var) for c in self.constraints)
+        return var in self._index
 
     def constraints_on(self, var: str) -> List[Constraint]:
-        return [c for c in self.constraints if c.uses(var)]
+        j = self._positions().get(var)
+        if j is None:
+            return []
+        return [c for c, row in zip(self.constraints, self._rows) if row[j]]
 
     def is_stride_wildcard(self, w: str) -> bool:
         """True if w occurs in exactly one constraint and it is an EQ."""
-        hits = self.constraints_on(w)
-        return len(hits) == 1 and hits[0].is_eq()
+        j = self._positions().get(w)
+        if j is None:
+            return False
+        hit = None
+        for row in self._rows:
+            if row[j]:
+                if hit is not None:
+                    return False
+                hit = row
+        return bool(hit[0])
 
     def stride_only(self) -> bool:
         """All wildcards are stride-only (answer-format conjunct)."""
@@ -190,15 +296,22 @@ class Conjunct:
     # -- construction helpers ----------------------------------------------
 
     def with_constraints(self, extra: Iterable[Constraint]) -> "Conjunct":
-        return Conjunct(self.constraints + tuple(extra), self.wildcards)
+        index, _, rows = kernels.rows_from_constraints(tuple(extra))
+        return self._with_rows(index, rows)
 
     def with_wildcards(self, extra: Iterable[str]) -> "Conjunct":
-        return Conjunct(self.constraints, tuple(self.wildcards) + tuple(extra))
+        index = self._index
+        wildset = self.wildcards.union(w for w in extra if w in index)
+        return Conjunct._make(
+            index, self._rows, wildset, self._pos, self._cons
+        )
 
     def without_constraints(self, remove: Iterable[Constraint]) -> "Conjunct":
-        removed = set(remove)
-        return Conjunct(
-            (c for c in self.constraints if c not in removed), self.wildcards
+        removed = {self._row_of(c) for c in remove}
+        return Conjunct._from_rows(
+            self._index,
+            [row for row in self._rows if row not in removed],
+            self.wildcards,
         )
 
     def add_stride(self, modulus: int, expr: Affine) -> "Conjunct":
@@ -209,47 +322,104 @@ class Conjunct:
             return self
         w = fresh_var("s")
         eq = Constraint.equal(Affine({w: modulus}), expr)
-        return Conjunct(self.constraints + (eq,), tuple(self.wildcards) + (w,))
+        index, _, rows = kernels.rows_from_constraints((eq,))
+        return self._with_rows(index, rows, (w,))
 
     def merge(self, other: "Conjunct") -> "Conjunct":
         """Conjoin two conjuncts, renaming wildcards to avoid capture."""
-        if other.wildcards:
+        if other.wildcards and not other.wildcards.isdisjoint(self._index):
             # Renaming is only needed when a wildcard of ``other``
             # collides with a name of ``self`` (fresh_var names are
             # process-unique, so collisions only arise from shared
             # ancestry).  Skipping the rename keeps names stable,
             # which is what makes the satisfiability cache effective.
-            mine = set(self.wildcards)
-            for c in self.constraints:
-                mine.update(c.variables())
-            if not mine.isdisjoint(other.wildcards):
-                other = other.rename_wildcards()
-        return Conjunct(
-            self.constraints + other.constraints,
-            tuple(self.wildcards) + tuple(other.wildcards),
-        )
+            other = other.rename_wildcards()
+        return self._with_rows(other._index, other._rows, other.wildcards)
 
     def rename_wildcards(self) -> "Conjunct":
         if not self.wildcards:
             return self
-        mapping = {w: fresh_var("r") for w in sorted(self.wildcards)}
-        return Conjunct(
-            (c.rename(mapping) for c in self.constraints), mapping.values()
-        )
+        return self.rename({w: fresh_var("r") for w in sorted(self.wildcards)})
 
-    def substitute(self, var: str, replacement: Affine) -> "Conjunct":
-        return Conjunct(
-            (
-                c.substitute(var, replacement) if c.uses(var) else c
-                for c in self.constraints
-            ),
-            self.wildcards,
+    def substitute(
+        self, var: str, replacement: Affine, denominator: int = 1
+    ) -> "Conjunct":
+        """Replace ``var`` by ``replacement / denominator`` in every row.
+
+        A fraction is valid when ``denominator · var == replacement``
+        is known to hold (``denominator`` > 0): a row that uses ``var``
+        is scaled by the denominator, so everything stays integral.
+        """
+        index, rows = self._index, self._rows
+        col = self._positions().get(var)
+        if col is None:
+            return Conjunct._make(
+                index, rows, self.wildcards, self._pos, self._cons
+            )
+        wider = kernels.union_index(index, replacement.variables())
+        if wider is not index:
+            rows = kernels.reindex(index, rows, wider)
+            col = wider.index(var) + 2
+        slot = {v: j for j, v in enumerate(wider, 2)}
+        repl = kernels.row_from_affine(
+            slot, len(wider) + 2, replacement, kernels.GEQ_ROW
         )
+        out = []
+        for row in rows:
+            a = row[col]
+            if not a:
+                out.append(row)
+                continue
+            new = [denominator * x + a * y for x, y in zip(row, repl)]
+            new[0] = row[0]
+            new[col] -= denominator * a
+            out.append(kernels.resign(tuple(new)))
+        return Conjunct._from_rows(wider, out, self.wildcards)
+
+    def _solve_unit(self, eq: Row, col: int) -> "Conjunct":
+        """Drop the row ``eq`` and eliminate the name in slot ``col``.
+
+        The name's coefficient in ``eq`` is ±1, so ``eq`` solves for
+        it: every other row ``r`` becomes ``r - r[col]·eq[col]·eq``.
+        Wildcards used only by ``eq`` stop being wildcards before the
+        substitution, as if ``eq`` were removed first.
+        """
+        k = eq[col]
+        rest = [row for row in self._rows if row != eq]
+        wildcards = self.wildcards
+        if wildcards:
+            pos = self._positions()
+            wildcards = [
+                w for w in wildcards if any(row[pos[w]] for row in rest)
+            ]
+        out = []
+        for row in rest:
+            m = row[col] * k
+            if not m:
+                out.append(row)
+                continue
+            new = [x - m * y for x, y in zip(row, eq)]
+            new[0] = row[0]
+            out.append(kernels.resign(tuple(new)))
+        return Conjunct._from_rows(self._index, out, wildcards)
 
     def rename(self, mapping: Mapping[str, str]) -> "Conjunct":
-        return Conjunct(
-            (c.rename(mapping) for c in self.constraints),
-            (mapping.get(w, w) for w in self.wildcards),
+        """Rename variables; names mapped together add their columns.
+
+        EQ rows are re-signed for the new column order, as the
+        constraints would be.
+        """
+        names = [mapping.get(v, v) for v in self._index]
+        target = tuple(sorted(set(names)))
+        slot = {v: j for j, v in enumerate(target, 2)}
+        out = []
+        for row in self._rows:
+            new = [row[0], row[1]] + [0] * len(target)
+            for j, v in enumerate(names, 2):
+                new[slot[v]] += row[j]
+            out.append(kernels.resign(tuple(new)))
+        return Conjunct._from_rows(
+            target, out, [mapping.get(w, w) for w in self.wildcards]
         )
 
     # -- normalization ------------------------------------------------------
@@ -292,11 +462,8 @@ class Conjunct:
             if step is None:
                 result = None
                 break
-            if (
-                step.constraints == current.constraints
-                and step.wildcards == current.wildcards
-            ):
-                result = step
+            if step == current:
+                result = current
                 break
             if _NORMALIZE_MEMO_ENABLED and step._normalized is not _MEMO_UNSET:
                 result = step._normalized
@@ -304,21 +471,21 @@ class Conjunct:
             chain.append(step)
             current = step
         if _NORMALIZE_MEMO_ENABLED:
-            object.__setattr__(self, "_normalized", result)
+            _set(self, "_normalized", result)
             for link in chain:
-                object.__setattr__(link, "_normalized", result)
+                _set(link, "_normalized", result)
             if result is not None:
-                object.__setattr__(result, "_normalized", result)
+                _set(result, "_normalized", result)
         return result
 
     def _normalize_once(self) -> Optional["Conjunct"]:
         """One canonicalization pass (see :meth:`normalize`).
 
-        The scale/tighten/merge sweep runs on the conjunct's row block
-        (:func:`repro.omega.kernels.normalize_rows`); the stride
-        canonicalization tail runs on the materialized constraints.
+        The scale/tighten/merge sweep is
+        :func:`repro.omega.kernels.normalize_rows`; the stride tail
+        (:meth:`_finish_normalize`) runs on the same rows.
         """
-        index, pos, rows = self._row_block()
+        index, rows = self._index, self._rows
         if stats.ENABLED:
             stats.bump("kernel_rows_normalized", len(rows))
         reduced = kernels.normalize_rows(rows)
@@ -332,85 +499,106 @@ class Conjunct:
             out = tuple(geq_rows)
             if out == rows:
                 return self  # fixed point, nothing to rebuild
-            return Conjunct._from_rows(index, pos, out, ())
-        eqs = [kernels.constraint_from_row(index, row) for row in eq_rows]
-        out_geqs = [
-            kernels.constraint_from_row(index, row) for row in geq_rows
-        ]
-        return self._finish_normalize(eqs, out_geqs)
+            return Conjunct._from_rows(index, out)
+        return self._finish_normalize(eq_rows, geq_rows)
 
     def _finish_normalize(
-        self, eqs: List[Constraint], out_geqs: List[Constraint]
+        self, eq_rows: List[Row], geq_rows: List[Row]
     ) -> Optional["Conjunct"]:
         """Normalization tail: canonicalize stride equalities.
 
-        Runs on materialized constraints: stride handling is name- and
-        wildcard-centric, and it is the only part of normalization that
-        mints fresh variables.
+        An EQ row is a stride when some of its wildcards occur in no
+        other row ("lone" wildcards).  With g the gcd of their
+        coefficients, the row says ``g | rest``: it is dropped when g
+        is 1 or ``rest`` reduces to a constant g divides (infeasible
+        when it does not), dropped as a duplicate of an earlier stride
+        with the same g and residue class, kept when it already is the
+        canonical ``g·w == reduced`` over its one lone wildcard, and
+        otherwise replaced by that canonical form over a fresh
+        wildcard.  The only part of normalization that mints names.
         """
-        stride_eqs: List[Constraint] = []
-        stride_seen: Dict[Tuple, str] = {}
+        index = self._index
+        if not self.wildcards:
+            return Conjunct._from_rows(index, eq_rows + geq_rows)
         wildcards = set(self.wildcards)
-        plain_eqs: List[Constraint] = []
-        occurrences: Dict[str, int] = {}
-        for c in eqs + out_geqs:
-            for v in c.variables():
-                occurrences[v] = occurrences.get(v, 0) + 1
-        for c in dict.fromkeys(eqs):
-            lone = [
-                (v, cf)
-                for v, cf in c.expr.coeffs
-                if v in wildcards and occurrences.get(v) == 1
-            ]
+        wild_slots = [
+            j for j, v in enumerate(index, 2) if v in wildcards
+        ]
+        occurrences = {
+            j: sum(1 for row in eq_rows if row[j])
+            + sum(1 for row in geq_rows if row[j])
+            for j in wild_slots
+        }
+        plain: List[Row] = []
+        # Kept stride rows, and (name, g, coeffs, const) for the strides
+        # minted over a fresh wildcard, in one list to keep their order.
+        strides: list = []
+        stride_seen = set()
+        for row in dict.fromkeys(eq_rows):
+            lone = [j for j in wild_slots if row[j] and occurrences[j] == 1]
             if not lone:
-                plain_eqs.append(c)
+                plain.append(row)
                 continue
-            g = gcd_list(cf for _, cf in lone)
-            rest = Affine(
-                {v: cf for v, cf in c.expr.coeffs if (v, cf) not in lone},
-                c.expr.const,
-            )
+            lone_names = [index[j - 2] for j in lone]
+            g = 0
+            for j in lone:
+                g = gcd(g, row[j])
             if g == 1:
-                for v, _ in lone:
-                    wildcards.discard(v)
+                wildcards.difference_update(lone_names)
                 continue  # ∃w: g·w == rest is always solvable
+            rest = list(row)
+            for j in lone:
+                rest[j] = 0
             # The stride is determined by g and the residue class of
             # ``rest`` up to sign; pick the lexicographically smaller of
             # the two reduced representatives so normalization is a
             # fixed point (see tests: strides must not oscillate).
-            r0 = Affine({v: cf % g for v, cf in rest.coeffs}, rest.const % g)
-            r1 = Affine(
-                {v: (-cf) % g for v, cf in rest.coeffs}, (-rest.const) % g
-            )
-            reduced = min(r0, r1, key=lambda a: (a.coeffs, a.const))
-            if reduced.is_constant():
-                for v, _ in lone:
-                    wildcards.discard(v)
-                if reduced.const % g:
+            r0 = (tuple([cf % g for cf in rest[2:]]), rest[1] % g)
+            r1 = (tuple([(-cf) % g for cf in rest[2:]]), (-rest[1]) % g)
+            coeffs, const = min(r0, r1)
+            if not any(coeffs):
+                wildcards.difference_update(lone_names)
+                if const % g:
                     return None
                 continue
             # Reuse the existing wildcard when the constraint is already
             # canonical (otherwise normalize would never reach a fixed
             # point, minting a fresh name each pass).
-            key = (g, reduced)
+            key = (g, coeffs, const)
             if key in stride_seen:  # duplicate stride: drop this copy
-                for v, _ in lone:
-                    wildcards.discard(v)
+                wildcards.difference_update(lone_names)
                 continue
-            w_old = lone[0][0]
-            canonical = Constraint.equal(Affine({w_old: g}), reduced)
-            if len(lone) == 1 and c == canonical:
-                stride_seen[key] = w_old
-                stride_eqs.append(c)
+            stride_seen.add(key)
+            canonical = [kernels.EQ_ROW, -const] + [-cf for cf in coeffs]
+            canonical[lone[0]] = g
+            if len(lone) == 1 and row == kernels.resign(tuple(canonical)):
+                strides.append(row)
                 continue
-            for v, _ in lone:
-                wildcards.discard(v)
+            wildcards.difference_update(lone_names)
             w = fresh_var("s")
             wildcards.add(w)
-            stride_seen[key] = w
-            stride_eqs.append(Constraint.equal(Affine({w: g}), reduced))
-
-        return Conjunct(plain_eqs + stride_eqs + out_geqs, wildcards)
+            strides.append((w, g, coeffs, const))
+        fresh = [s[0] for s in strides if isinstance(s[0], str)]
+        if not fresh:
+            return Conjunct._from_rows(
+                index, plain + strides + geq_rows, wildcards
+            )
+        wider = tuple(sorted(set(index).union(fresh)))
+        slot = {v: j for j, v in enumerate(wider, 2)}
+        out = list(kernels.reindex(index, plain, wider))
+        for stride in strides:
+            if not isinstance(stride[0], str):  # a kept row
+                out.extend(kernels.reindex(index, (stride,), wider))
+                continue
+            w, g, coeffs, const = stride
+            row = [kernels.EQ_ROW, -const] + [0] * len(wider)
+            for v, cf in zip(index, coeffs):
+                if cf:
+                    row[slot[v]] = -cf
+            row[slot[w]] = g
+            out.append(kernels.resign(tuple(row)))
+        out.extend(kernels.reindex(index, geq_rows, wider))
+        return Conjunct._from_rows(wider, out, wildcards)
 
     # -- bounds ------------------------------------------------------------
 
@@ -421,42 +609,12 @@ class Conjunct:
         ``(b, β)`` meaning β <= b·var (b > 0), ``uppers`` a list of
         ``(a, α)`` meaning a·var <= α (a > 0), and ``rest`` the
         constraints not mentioning ``var``.  Equalities mentioning
-        ``var`` are a caller error (eliminate them first).  A conjunct
-        that already carries its row block classifies on the rows;
-        any other scans its constraints directly.
+        ``var`` are a caller error (eliminate them first).  Classifies
+        on the rows (one int load per row) and builds bound
+        expressions only for the rows that bound ``var``.
         """
-        if self._rows is not None:
-            return self._bounds_on_dense(var)
-        lowers: List[Tuple[int, Affine]] = []
-        uppers: List[Tuple[int, Affine]] = []
-        rest: List[Constraint] = []
-        for c in self.constraints:
-            k = c.coeff(var)
-            if k == 0:
-                rest.append(c)
-                continue
-            if c.is_eq():
-                raise ValueError(
-                    "bounds_on(%s): equality %s not eliminated" % (var, c)
-                )
-            other = Affine(
-                {v: cf for v, cf in c.expr.coeffs if v != var}, c.expr.const
-            )
-            if k > 0:  # k·var + other >= 0  =>  -other <= k·var
-                lowers.append((k, -other))
-            else:  # other >= -k·var = |k|·var
-                uppers.append((-k, other))
-        return lowers, uppers, rest
-
-    def _bounds_on_dense(self, var: str):
-        """Row-block implementation of :meth:`bounds_on`.
-
-        Classifies on the cached rows (one int load per row) and
-        materializes the bound expressions only for the rows that
-        actually bound ``var``.
-        """
-        index, pos, rows = self._row_block()
-        col = pos.get(var)
+        index, rows = self._index, self._rows
+        col = self._positions().get(var)
         if col is None:
             return [], [], list(self.constraints)
         lowers: List[Tuple[int, Affine]] = []
@@ -502,9 +660,9 @@ class Conjunct:
         satisfiability loop needs to pick its elimination variable --
         from a single sweep of the row block.
         """
-        index, pos, rows = self._row_block()
-        profiles = kernels.bounds_profiles(rows, len(index) + 2)
-        return {v: profiles[pos[v]] for v in index}
+        index = self._index
+        profiles = kernels.bounds_profiles(self._rows, len(index) + 2)
+        return {v: profiles[j] for j, v in enumerate(index, 2)}
 
     # -- evaluation -----------------------------------------------------------
 
@@ -577,16 +735,17 @@ class Conjunct:
         return "Conjunct(%s)" % self
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Conjunct)
-            and self.constraints == other.constraints
+            and self._rows == other._rows
+            and self._index == other._index
             and self.wildcards == other.wildcards
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.constraints, self.wildcards))
+            _set(
+                self, "_hash", hash((self._index, self._rows, self.wildcards))
             )
         return self._hash
 

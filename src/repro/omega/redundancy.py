@@ -23,9 +23,7 @@ def constraint_redundant(
     """Is ``constraint`` implied by the rest of ``conj`` (and context)?"""
     if stats.ENABLED:
         stats.bump("redundancy_checks")
-    rest = Conjunct(
-        (c for c in conj.constraints if c != constraint), conj.wildcards
-    )
+    rest = conj.without_constraints((constraint,))
     if context is not None:
         rest = rest.merge(context)
     from repro.presburger.disjoint import negate_constraint_in

@@ -9,11 +9,13 @@ we try the dark shadow (sufficient) and fall back to splinters
 """
 
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Optional
 
 from repro.core import stats
+from repro.omega import kernels
 from repro.omega.problem import Conjunct
-from repro.omega.equalities import mod_hat_eliminate, solve_unit
+from repro.omega.equalities import mod_hat_eliminate
 from repro.omega.eliminate import (
     dark_shadow,
     real_shadow,
@@ -34,37 +36,57 @@ _MAX_CONSTRAINTS = 600
 class SatBlowupError(RuntimeError):
     """A satisfiability subproblem exceeded the size guard."""
 
-#: Memo for satisfiability results.  Conjuncts are immutable and
-#: hashable, and guard evaluation re-solves the same ground conjuncts
-#: over and over (every ``SymbolicSum.evaluate`` substitutes the same
-#: guards), so this cache is a large constant-factor win.  The memo is
-#: a bounded LRU: when full, the *least recently used* entry is
-#: evicted (the old behaviour -- dropping the entire cache at once --
-#: made long evaluations lose their whole working set at a cliff).
-_SAT_CACHE: "OrderedDict[Conjunct, bool]" = OrderedDict()
+#: Memo for satisfiability results.  Guard evaluation re-solves the
+#: same ground conjuncts over and over (every ``SymbolicSum.evaluate``
+#: substitutes the same guards), so this cache is a large
+#: constant-factor win.  Keys are tuples of strs and ints (see
+#: :func:`_cache_key`), which hash and compare in C: the daemon's cold
+#: thread pool shares this dict.  The memo is a bounded LRU: when full,
+#: the *least recently used* entry is evicted (the old behaviour --
+#: dropping the entire cache at once -- made long evaluations lose
+#: their whole working set at a cliff).
+_SAT_CACHE: "OrderedDict[tuple, bool]" = OrderedDict()
 _SAT_CACHE_LIMIT = 200000
 
 
-def _cache_key(conj: Conjunct) -> Conjunct:
-    """Rename wildcards to canonical names for cache lookup.
+def _cache_key(conj: Conjunct) -> tuple:
+    """The conjunct's row block with its wildcards relabelled.
 
     Wildcards get fresh names on every :meth:`Conjunct.merge`, so two
     structurally identical subproblems (the common case in ``implies``
     and guard evaluation) would otherwise never share a cache entry.
     Satisfiability is invariant under renaming of the existentially
-    quantified wildcards, so keying on the canonical form is safe.
-    Names are assigned in order of first occurrence in the constraint
-    list; ``\\x00`` prefixes cannot collide with user variable names.
+    quantified wildcards, so keying on a relabelled block is safe.
+
+    The key is ``(names, rows)``: the block as the conjunct renamed by
+    ``wildcard -> "\\x00k"`` would hold it.  Wildcards are numbered in
+    order of first occurrence (row by row, each row in name order);
+    the columns are ordered by the new names, compared as strings (so
+    ``"\\x0010"`` sorts before ``"\\x002"``, and every label before
+    every free name); and each EQ row is re-signed so its first
+    nonzero coefficient in that order is positive.  ``\\x00`` labels
+    cannot collide with user variable names.  A wildcard-free conjunct
+    keys on its block as is.  Only tuples, strs and ints.
     """
-    if not conj.wildcards:
-        return conj
-    mapping = {}
+    index, rows = conj._index, conj._rows
     wilds = conj.wildcards
-    for c in conj.constraints:
-        for v in c.variables():
-            if v in wilds and v not in mapping:
-                mapping[v] = "\x00%d" % len(mapping)
-    return conj.rename(mapping)
+    if not wilds:
+        return (index, rows)
+    wild_slots = [j for j, v in enumerate(index, 2) if v in wilds]
+    label = {}
+    for row in rows:
+        for j in wild_slots:
+            if row[j] and j not in label:
+                label[j] = "\x00%d" % len(label)
+        if len(label) == len(wild_slots):
+            break
+    names = [label.get(j, v) for j, v in enumerate(index, 2)]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    pick = itemgetter(0, 1, *[j + 2 for j in order])
+    return (
+        tuple([names[j] for j in order]),
+        tuple([kernels.resign(pick(row)) for row in rows]),
+    )
 
 
 def set_sat_cache_limit(limit: int) -> int:
@@ -137,24 +159,26 @@ def _satisfiable_uncached(conj: Conjunct, depth: int) -> bool:
     if normalized is None:
         return False
     conj = normalized
-    if len(conj.constraints) > _MAX_CONSTRAINTS:
+    rows = conj._rows
+    if len(rows) > _MAX_CONSTRAINTS:
         raise SatBlowupError(
             "conjunct grew to %d constraints during elimination"
-            % len(conj.constraints)
+            % len(rows)
         )
-    variables = conj.variables()
-    if not variables:
+    if not conj._index:
         return True  # normalize() removed everything that was non-trivial
 
-    # Equalities first: exact, never splinters.
-    eqs = conj.eqs()
-    if eqs:
-        eq = min(eqs, key=lambda e: min(abs(c) for _, c in e.expr.coeffs))
-        unit = next((v for v, c in eq.expr.coeffs if abs(c) == 1), None)
+    # Equalities first: exact, never splinters.  The equality with the
+    # smallest nonzero |coefficient| goes first (the first such row on
+    # ties), solved for its first unit-coefficient name if it has one.
+    eq_rows = [row for row in rows if row[0]]
+    if eq_rows:
+        eq = min(eq_rows, key=lambda row: min(abs(c) for c in row[2:] if c))
+        unit = next((j for j in range(2, len(eq)) if eq[j] in (1, -1)), None)
         if unit is not None:
-            solved, _ = solve_unit(conj, eq, unit)
-            return satisfiable(solved, depth + 1)
-        return satisfiable(mod_hat_eliminate(conj, eq), depth + 1)
+            return satisfiable(conj._solve_unit(eq, unit), depth + 1)
+        constraint = kernels.constraint_from_row(conj._index, eq)
+        return satisfiable(mod_hat_eliminate(conj, constraint), depth + 1)
 
     # Pure inequalities: pick the variable with the cheapest elimination.
     # One bounds_profiles sweep covers every variable at once (the
@@ -164,7 +188,7 @@ def _satisfiable_uncached(conj: Conjunct, depth: int) -> bool:
     # in elimination_is_exact).
     best_var, best_cost, best_exact = None, None, False
     profiles = conj.bounds_profiles()
-    for var in variables:
+    for var in conj.variables():
         n_lowers, n_uppers, unit_lowers, unit_uppers = profiles[var]
         exact = not n_lowers or not n_uppers or unit_lowers or unit_uppers
         cost = (0 if exact else 1, n_lowers * n_uppers)

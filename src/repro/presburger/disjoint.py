@@ -20,6 +20,7 @@ from typing import Callable, List, Optional, Set
 
 from repro.omega.affine import Affine
 from repro.omega.constraints import Constraint, fresh_var
+from repro.omega.kernels import GEQ_ROW
 from repro.omega.problem import Conjunct
 
 
@@ -58,7 +59,11 @@ def negate_constraint_in(conj: Conjunct, constraint: Constraint) -> List[Conjunc
     g - 1 clauses ``g | (e - r)`` for r = 1..g-1.
     """
     if constraint.is_geq():
-        return [Conjunct([constraint.negate_geq()])]
+        # ¬(e >= 0) is -e - 1 >= 0, built straight as a row.
+        expr = constraint.expr
+        negated = tuple([-cf for _, cf in expr.coeffs])
+        row = (GEQ_ROW, -expr.const - 1) + negated
+        return [Conjunct._from_rows(expr.variables(), (row,))]
     wilds = [
         v
         for v in constraint.variables()

@@ -30,6 +30,13 @@ stripped before the request model sees it).  Lines are served
 concurrently, so responses come back in completion order -- clients
 correlate by ``id`` exactly as with the batch CLI.
 
+Limits: an HTTP request line or header line may be at most
+:data:`MAX_LINE_BYTES` long, a request at most :data:`MAX_HEADERS`
+header lines, a body and a JSONL line at most :data:`MAX_BODY_BYTES`.
+A request over a limit gets a ``bad_request`` response and the
+connection closes (on JSONL, once the requests already in flight on it
+are answered).
+
 ``serve_main`` is the CLI entry (``python -m repro serve``): it wires
 SIGTERM/SIGINT to graceful drain, prints a ready line with the bound
 ports once listening, and exits 0 after a clean drain.
@@ -50,9 +57,21 @@ from repro.serve.daemon import (
 )
 from repro.service.executor import BAD_REQUEST, PARSE_ERROR, TIMEOUT
 
-#: Largest accepted request body; a counting request is a few hundred
-#: bytes, so anything near this is garbage or abuse.
+#: Largest accepted request body or JSONL line; a counting request is
+#: a few hundred bytes, so anything near this is garbage or abuse.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Longest HTTP request or header line, line ending included, and the
+#: most header lines one request may have: the limits ``http.client``
+#: enforces on responses.
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+
+#: How long a front end keeps reading (and dropping) a refused client's
+#: input before closing.  Closing a socket with unread input resets the
+#: connection, and the reset can destroy the refusal before the client
+#: reads it.
+LINGER_SECONDS = 1.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -83,6 +102,22 @@ _JOB_PATHS = (
 )
 
 
+async def _close_after_refusal(reader, writer) -> None:
+    """Half-close, then drop the client's input until EOF or the linger
+    deadline, so the refusal just written reaches the client."""
+    if writer.can_write_eof():
+        writer.write_eof()
+
+    async def drop_input():
+        while await reader.read(65536):
+            pass
+
+    try:
+        await asyncio.wait_for(drop_input(), LINGER_SECONDS)
+    except (asyncio.TimeoutError, ConnectionError, ValueError):
+        pass
+
+
 def response_status(response: dict) -> int:
     """The HTTP status for a structured daemon response."""
     if response.get("ok"):
@@ -103,8 +138,10 @@ class HttpFrontend:
         self.server: Optional[asyncio.AbstractServer] = None
 
     async def start(self) -> None:
+        # readline raises ValueError, instead of buffering on, for a
+        # line with more than ``limit`` bytes before its newline.
         self.server = await asyncio.start_server(
-            self._client, self.host, self.port
+            self._client, self.host, self.port, limit=MAX_LINE_BYTES - 1
         )
         self.port = self.server.sockets[0].getsockname()[1]
 
@@ -123,6 +160,7 @@ class HttpFrontend:
                 method, path, headers, body, parse_failure = request
                 if parse_failure is not None:
                     await self._respond(writer, 400, parse_failure, close=True)
+                    await _close_after_refusal(reader, writer)
                     break
                 close = (
                     headers.get("connection", "").lower() == "close"
@@ -146,22 +184,33 @@ class HttpFrontend:
 
     async def _read_request(self, reader):
         """One request: (method, path, headers, body, failure) or None."""
-        line = await reader.readline()
-        if not line:
-            return None
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3:
+        try:
+            line = await reader.readline()
+            if not line:
+                return None
+            parts = line.decode("latin-1").strip().split()
+            if len(parts) != 3:
+                return None, None, None, None, self._failure(
+                    "malformed request line"
+                )
+            method, path, _version = parts
+            headers = {}
+            count = 0
+            while True:
+                raw = await reader.readline()
+                if raw in (b"\r\n", b"\n", b""):
+                    break
+                count += 1
+                if count > MAX_HEADERS:
+                    return None, None, None, None, self._failure(
+                        "more than %d header lines" % MAX_HEADERS
+                    )
+                name, _, value = raw.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:  # a line past the stream limit, dropped
             return None, None, None, None, self._failure(
-                "malformed request line"
+                "request or header line longer than %d bytes" % MAX_LINE_BYTES
             )
-        method, path, _version = parts
-        headers = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
@@ -247,8 +296,10 @@ class JsonlFrontend:
         self.server: Optional[asyncio.AbstractServer] = None
 
     async def start(self) -> None:
+        # A line may be as long as an HTTP body; asyncio's default
+        # stream limit (64 KiB) would refuse longer ones.
         self.server = await asyncio.start_server(
-            self._client, self.host, self.port
+            self._client, self.host, self.port, limit=MAX_BODY_BYTES
         )
         self.port = self.server.sockets[0].getsockname()[1]
 
@@ -263,7 +314,17 @@ class JsonlFrontend:
         tasks = set()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # longer than MAX_BODY_BYTES: dropped
+                    refusal = HttpFrontend._failure(
+                        "line longer than %d bytes" % MAX_BODY_BYTES
+                    )
+                    await self._send(refusal, writer, lock)
+                    if tasks:
+                        await asyncio.gather(*tasks, return_exceptions=True)
+                    await _close_after_refusal(reader, writer)
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -295,6 +356,10 @@ class JsonlFrontend:
             if isinstance(obj, dict):
                 tenant = str(obj.pop("tenant", "") or "")
             response = await self.daemon.handle(obj, tenant)
+        await self._send(response, writer, lock)
+
+    @staticmethod
+    async def _send(response: dict, writer, lock) -> None:
         async with lock:
             writer.write(
                 (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
@@ -395,6 +460,8 @@ __all__ = [
     "HttpFrontend",
     "JsonlFrontend",
     "MAX_BODY_BYTES",
+    "MAX_HEADERS",
+    "MAX_LINE_BYTES",
     "response_status",
     "serve_main",
 ]

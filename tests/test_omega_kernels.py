@@ -17,10 +17,14 @@ from repro.omega.kernels import (
     GEQ_ROW,
     bounds_profiles,
     bounds_split,
+    compact,
     constraint_from_row,
     fm_combine,
     normalize_rows,
+    reindex,
+    resign,
     rows_from_constraints,
+    union_index,
 )
 from repro.omega.problem import Conjunct
 
@@ -56,6 +60,37 @@ class TestRowRoundTrip:
         index, _, rows = rows_from_constraints((c,))
         rebuilt = constraint_from_row(index, rows[0])
         assert rebuilt == c and hash(rebuilt) == hash(c)
+
+
+class TestBlockHelpers:
+    def test_resign_matches_constraint_sign_rule(self):
+        index = ("x", "y")
+        for row in [(EQ_ROW, 4, -2, 3), (EQ_ROW, 4, 0, -3), (EQ_ROW, -2, 0, 0)]:
+            expr = Affine(dict(zip(index, row[2:])), row[1])
+            want = Constraint.eq(expr)
+            assert constraint_from_row(index, resign(row)) == want
+        assert resign((EQ_ROW, 1, 2, -3)) == (EQ_ROW, 1, 2, -3)
+        assert resign((GEQ_ROW, 1, -2, 3)) == (GEQ_ROW, 1, -2, 3)
+
+    def test_compact_drops_dead_columns_only(self):
+        rows = ((GEQ_ROW, 1, 0, 2, 0), (EQ_ROW, 0, 0, 1, -1))
+        assert compact(("a", "b", "c"), rows) == (
+            ("b", "c"),
+            ((GEQ_ROW, 1, 2, 0), (EQ_ROW, 0, 1, -1)),
+        )
+        live = ((GEQ_ROW, 1, 3, 2),)
+        index = ("a", "b")
+        assert compact(index, live) == (index, live)
+        assert compact(index, ()) == ((), ())
+
+    def test_reindex_into_a_wider_index(self):
+        rows = ((EQ_ROW, 5, 1, -2),)
+        wider = union_index(("b", "d"), ("a", "c", "d"))
+        assert wider == ("a", "b", "c", "d")
+        assert list(reindex(("b", "d"), rows, wider)) == [
+            (EQ_ROW, 5, 0, 1, 0, -2)
+        ]
+        assert union_index(("a", "b"), ("b",)) == ("a", "b")
 
 
 class TestNormalizeRowsKernel:
@@ -154,19 +189,40 @@ class TestBoundsKernels:
             bounds_split(rows, pos["x"])
 
     def test_bounds_profiles_matches_bounds_on(self):
-        index, pos, rows = rows_from_constraints(self.CONS)
-        profiles = bounds_profiles(rows, len(index) + 2)
-        # A fresh conjunct carries no row block, so bounds_on scans its
-        # Affine constraints: the kernel is checked against that branch.
-        conj = Conjunct(self.CONS)
-        assert conj._rows is None
-        for v in index:
-            lowers, uppers, _ = conj.bounds_on(v)
-            n_lo, n_up, unit_lo, unit_up = profiles[pos[v]]
-            assert n_lo == len(lowers)
-            assert n_up == len(uppers)
-            assert unit_lo == all(b == 1 for b, _ in lowers)
-            assert unit_up == all(a == 1 for a, _ in uppers)
+        # The reference reads every bound straight off the constraint
+        # objects' coefficients.  One conjunct is built from
+        # constraints, the other from rows, with its constraints a view.
+        from_cons = Conjunct(self.CONS)
+        from_rows = from_cons.rename({"y": "a"}).rename({"a": "y"})
+        assert from_rows._cons is None
+        for conj in (from_cons, from_rows):
+            self._check_against_coefficients(conj)
+
+    @staticmethod
+    def _check_against_coefficients(conj):
+        profiles = conj.bounds_profiles()
+        assert set(profiles) == {"x", "y", "z"}
+        for v in ("x", "y", "z"):
+            lower = [c for c in conj.constraints if c.coeff(v) > 0]
+            upper = [c for c in conj.constraints if c.coeff(v) < 0]
+            assert profiles[v] == (
+                len(lower),
+                len(upper),
+                all(c.coeff(v) == 1 for c in lower),
+                all(c.coeff(v) == -1 for c in upper),
+            )
+            lowers, uppers, rest = conj.bounds_on(v)
+            # k·v + e >= 0 is the lower bound -e <= k·v when k > 0,
+            # and the upper bound |k|·v <= e when k < 0.
+            assert lowers == [
+                (c.coeff(v), -(c.expr - Affine({v: c.coeff(v)})))
+                for c in lower
+            ]
+            assert uppers == [
+                (-c.coeff(v), c.expr - Affine({v: c.coeff(v)}))
+                for c in upper
+            ]
+            assert rest == [c for c in conj.constraints if not c.coeff(v)]
 
 
 class TestFmCombine:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.omega.affine import Affine
 from repro.omega.constraints import Constraint
+from repro.omega.eliminate import dark_shadow, real_shadow
+from repro.omega.kernels import EQ_ROW, GEQ_ROW
 from repro.omega.problem import Conjunct
 
 
@@ -167,6 +169,136 @@ class TestCombinators:
     def test_str_shows_strides(self):
         c = Conjunct.true().add_stride(2, Affine({"x": 1}, 1))
         assert "2 | (x + 1)" in str(c)
+
+
+class TestRowState:
+    """Rows are a conjunct's state; constraints are a view of them."""
+
+    CONS = [
+        geq({"x": 2, "y": -1}, 3),
+        eq({"y": 1, "w": -2}),  # signed 2w - y == 0 (w sorts first)
+        geq({"x": -1}, 7),
+    ]
+    # The same constraints as rows over the index (w, x, y), plus a
+    # dead column z that no row uses.
+    INDEX = ("w", "x", "y", "z")
+    ROWS = [
+        (GEQ_ROW, 3, 0, 2, -1, 0),
+        (EQ_ROW, 0, 2, 0, -1, 0),
+        (GEQ_ROW, 7, 0, -1, 0, 0),
+    ]
+
+    def test_rows_and_constraints_build_the_same_conjunct(self):
+        from_cons = Conjunct(self.CONS, ["w", "v"])
+        from_rows = Conjunct._from_rows(self.INDEX, self.ROWS, ["w", "v"])
+        assert from_rows._cons is None  # nothing built yet
+        assert from_rows == from_cons
+        assert hash(from_rows) == hash(from_cons)
+        assert from_rows.constraints == from_cons.constraints
+        assert from_rows.constraints == tuple(self.CONS)
+        assert from_rows.wildcards == from_cons.wildcards == {"w"}
+        assert from_rows._index == ("w", "x", "y")
+
+    def test_equality_is_content_only(self):
+        a = Conjunct(self.CONS, ["w"])
+        assert a != Conjunct(self.CONS)  # other wildcards
+        assert a != Conjunct(self.CONS[::-1], ["w"])  # other order
+        assert a == Conjunct(self.CONS + [self.CONS[0]], ["w"])  # dedup
+        assert a == Conjunct._from_rows(self.INDEX, self.ROWS * 2, ["w"])
+
+    @pytest.mark.parametrize("shadow", [real_shadow, dark_shadow])
+    def test_fm_child_equals_the_same_conjunct_built_fresh(self, shadow):
+        # z has one lower and one upper bound, both unit: the real and
+        # dark shadows agree, and z's column leaves the child's index.
+        parent = Conjunct(
+            [
+                geq({"z": 1, "x": -1}),
+                geq({"z": -1, "y": 1}),
+                geq({"x": 1}),
+                geq({"y": -1}, 5),
+            ]
+        )
+        child = shadow(parent, "z")
+        fresh = Conjunct(
+            [geq({"x": 1}), geq({"y": -1}, 5), geq({"x": -1, "y": 1})]
+        )
+        assert child == fresh
+        assert hash(child) == hash(fresh)
+        assert child.constraints == fresh.constraints
+        assert child._index == ("x", "y")
+
+    def test_fm_child_with_wildcards_equals_fresh(self):
+        parent = Conjunct(
+            [
+                geq({"z": 1, "x": -1}),
+                geq({"z": -1, "y": 1}),
+                eq({"w": 2, "x": -1}),
+                geq({"y": -1}, 5),
+            ],
+            ["w"],
+        )
+        child = real_shadow(parent, "z")
+        fresh = Conjunct(
+            [eq({"w": 2, "x": -1}), geq({"y": -1}, 5), geq({"x": -1, "y": 1})],
+            ["w"],
+        ).normalize()
+        assert child == fresh
+        assert child.constraints == fresh.constraints
+
+    def test_rename_re_signs_equalities(self):
+        # 2w - y == 0; renamed so the wildcard sorts after y, the
+        # equality's first coefficient must stay positive.
+        renamed = Conjunct(self.CONS, ["w"]).rename({"w": "zz"})
+        assert renamed == Conjunct(
+            [geq({"x": 2, "y": -1}, 3), eq({"y": 1, "zz": -2}), geq({"x": -1}, 7)],
+            ["zz"],
+        )
+        assert renamed.constraints[1].expr.coeffs == (("y", 1), ("zz", -2))
+
+    def test_rename_merging_names_adds_columns(self):
+        conj = Conjunct([geq({"a": 1, "b": 1}, -1), geq({"a": 1, "b": -1})])
+        merged = conj.rename({"b": "a"})
+        # a - b becomes the constant row 0 >= 0, kept as a constraint
+        # until normalize drops it.
+        assert merged == Conjunct([geq({"a": 2}, -1), geq({}, 0)])
+        assert merged.normalize() == Conjunct([geq({"a": 1}, -1)])
+
+    def test_substitute_and_solve_match_the_constraint_route(self):
+        from repro.omega.equalities import solve_unit
+
+        eq_x = eq({"x": 1, "v": -1}, 2)
+        cons = self.CONS + [eq_x, geq({"v": 1})]
+        conj = Conjunct(cons, ["w", "v"])
+        solved, repl = solve_unit(conj, eq_x, "x")
+        assert repl == Affine({"v": 1}, -2)
+        want = Conjunct(
+            [c.substitute("x", repl) for c in cons if c != eq_x], ["w", "v"]
+        )
+        assert solved == want
+        assert solved.wildcards == {"w", "v"}
+        assert conj.substitute("x", repl) == Conjunct(
+            [c.substitute("x", repl) for c in conj.constraints], ["w", "v"]
+        )
+
+    def test_solve_unit_drops_wildcards_only_the_equality_used(self):
+        from repro.omega.equalities import solve_unit
+
+        # w occurs only in the solved equality, so it is no longer a
+        # wildcard once the equality is gone, even though the
+        # substitution brings it back into x's rows.
+        conj = Conjunct([eq({"x": 1, "w": 1, "y": -1}), geq({"x": 1})], ["w"])
+        solved, _ = solve_unit(conj, conj.constraints[0], "x")
+        assert solved == Conjunct([geq({"w": -1, "y": 1})])
+        assert not solved.wildcards
+
+    def test_with_and_without_constraints(self):
+        base = Conjunct(self.CONS[:1], ["w"])
+        grown = base.with_constraints(self.CONS[1:]).with_wildcards(["w"])
+        assert grown == Conjunct(self.CONS, ["w"])
+        shrunk = grown.without_constraints([self.CONS[1]])
+        assert shrunk == Conjunct([self.CONS[0], self.CONS[2]])
+        assert shrunk._index == ("x", "y")
+        assert not shrunk.wildcards
 
 
 class TestNormalizeIterative:

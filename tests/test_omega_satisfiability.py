@@ -252,3 +252,90 @@ class TestSatCacheLRU:
         with stats.collecting_stats() as counters:
             assert not satisfiable(conj)
         assert counters["sat_cache_hits"] == 1
+
+
+class TestSatCacheKey:
+    """The sat cache keys a conjunct on its rows, wildcards relabelled."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        from repro.omega import satisfiability as sat
+
+        sat.clear_sat_cache()
+        yield
+        sat.clear_sat_cache()
+
+    @staticmethod
+    def _leaves(key):
+        if isinstance(key, tuple):
+            for part in key:
+                yield from TestSatCacheKey._leaves(part)
+        else:
+            yield key
+
+    @staticmethod
+    def _stride(w, coeff=3, wildcards=None):
+        # coeff·w == n + 1 with 0 <= n <= 9.
+        return Conjunct(
+            [
+                eq({w: coeff, "n": -1}, -1),
+                geq({"n": 1}),
+                geq({"n": -1}, 9),
+            ],
+            [w] if wildcards is None else wildcards,
+        )
+
+    @staticmethod
+    def _top_level_hit(first, second):
+        from repro.core import stats
+
+        satisfiable(first)
+        with stats.collecting_stats() as counters:
+            satisfiable(second)
+        # A hit answers at the top without recursing; a miss recurses.
+        return counters["sat_cache_hits"] == 1 and not counters[
+            "sat_cache_misses"
+        ]
+
+    def test_key_holds_only_tuples_ints_and_strs(self):
+        from repro.core import count
+        from repro.omega import satisfiability as sat
+
+        for conj in (self._stride("w"), self._stride("w", wildcards=())):
+            leaves = list(self._leaves(sat._cache_key(conj)))
+            assert leaves and all(type(x) in (int, str) for x in leaves)
+        count("1 <= i <= n and 3 | (i + n) and 2*j = i", over=["i"])
+        assert sat._SAT_CACHE
+        for key in sat._SAT_CACHE:
+            assert all(type(x) in (int, str) for x in self._leaves(key))
+
+    def test_wildcard_names_do_not_split_entries(self):
+        assert self._top_level_hit(self._stride("_s1"), self._stride("_s2"))
+
+    def test_wildcard_on_either_side_of_a_free_name_shares_entry(self):
+        from repro.omega import satisfiability as sat
+
+        # "a" sorts before "n" and "z" after it, so the two equalities
+        # are signed differently (3a - n - 1 vs n - 3z + 1) until the
+        # wildcard is relabelled.
+        before, after = self._stride("a"), self._stride("z")
+        assert before.constraints[0].expr.coeffs[0] == ("a", 3)
+        assert after.constraints[0].expr.coeffs[0] == ("n", 1)
+        assert sat._cache_key(before) == sat._cache_key(after)
+        assert self._top_level_hit(before, after)
+
+    def test_different_coefficient_gets_its_own_entry(self):
+        assert not self._top_level_hit(
+            self._stride("w", coeff=3), self._stride("w", coeff=4)
+        )
+
+    def test_different_wildcard_columns_get_their_own_entries(self):
+        from repro.omega import satisfiability as sat
+
+        stride = self._stride("w")
+        free_w = self._stride("w", wildcards=())
+        both = self._stride("w", wildcards=["w", "n"])
+        keys = {sat._cache_key(c) for c in (stride, free_w, both)}
+        assert len(keys) == 3
+        assert not self._top_level_hit(stride, free_w)
+        assert not self._top_level_hit(stride, both)

@@ -11,7 +11,14 @@ import sys
 import pytest
 
 from repro.serve.daemon import CountingDaemon, ServeConfig
-from repro.serve.http import HttpFrontend, JsonlFrontend, response_status
+from repro.serve.http import (
+    MAX_BODY_BYTES,
+    MAX_HEADERS,
+    MAX_LINE_BYTES,
+    HttpFrontend,
+    JsonlFrontend,
+    response_status,
+)
 from repro.serve.loadgen import _http_request
 
 COUNT_IJ = {
@@ -315,6 +322,210 @@ class TestJsonlFrontend:
         response = asyncio.run(wrapper())
         assert response["ok"] is False
         assert response["error"]["kind"] == "bad_request"
+
+
+async def read_http_response(reader):
+    """(status, JSON body) of one response read off a raw stream."""
+    status_line = await reader.readline()
+    length = 0
+    while True:
+        raw = await reader.readline()
+        if raw in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = raw.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value.strip())
+    return int(status_line.split()[1]), json.loads(await reader.readexactly(length))
+
+
+def header_request(*header_lines):
+    """A GET /healthz with the given raw header lines."""
+    return (
+        b"GET /healthz HTTP/1.1\r\n" + b"".join(header_lines) + b"\r\n"
+    )
+
+
+def pad_header(total):
+    """One header line of exactly ``total`` bytes, CRLF included."""
+    return b"X-Pad: " + b"a" * (total - 9) + b"\r\n"
+
+
+def front_door(tmp_path, scenario, front_cls=HttpFrontend):
+    """Run ``scenario(port)`` against a front end on an ephemeral port.
+
+    Returns its result and the unhandled exceptions of connection
+    handlers, which the event loop's exception handler would log as
+    "Unhandled exception in client_connected_cb" with a traceback.
+    (Python 3.11 also reports a handler task that teardown cancels;
+    that is not a refusal's doing, so it is not collected.)
+    """
+    errors = []
+
+    def collect(_loop, context):
+        if context.get("message", "").startswith("Unhandled exception"):
+            errors.append(context)
+
+    async def wrapper():
+        asyncio.get_running_loop().set_exception_handler(collect)
+        daemon = make_daemon(tmp_path)
+        daemon.start()
+        front = front_cls(daemon, "127.0.0.1", 0)
+        await front.start()
+        try:
+            return await asyncio.wait_for(scenario(front.port), 60)
+        finally:
+            await front.stop()
+            await daemon.drain()
+
+    return asyncio.run(wrapper()), errors
+
+
+async def http_exchange(port, raw):
+    """Send raw bytes; read one response, then read to EOF."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(raw)
+        await writer.drain()
+        status, doc = await read_http_response(reader)
+        rest = await reader.read()
+        return status, doc, rest
+    finally:
+        writer.close()
+
+
+async def http_count(port):
+    """A valid count on a new connection."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        return await _http_request(reader, writer, "POST", "/job", COUNT_IJ)
+    finally:
+        writer.close()
+
+
+class TestFrontDoorLimits:
+    """Over-long lines and too many headers get a 400 ``bad_request``
+    and a closed connection, not a dropped connection and a logged
+    traceback; the daemon keeps answering new connections."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param(
+                b"POST /job HTTP/1.1\r\nHost: t\r\n"
+                + pad_header(70 * 1024)
+                + b"Content-Length: 2\r\n\r\n{}",
+                id="70KiB-header-line",
+            ),
+            pytest.param(
+                b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+                id="70KiB-request-line",
+            ),
+            pytest.param(
+                header_request(pad_header(MAX_LINE_BYTES + 1)),
+                id="header-line-one-byte-over",
+            ),
+            pytest.param(
+                header_request(
+                    *[b"X-H%d: v\r\n" % k for k in range(MAX_HEADERS + 1)]
+                ),
+                id="101-header-lines",
+            ),
+            pytest.param(
+                header_request(*[b"X-H%d: v\r\n" % k for k in range(20000)]),
+                id="20000-header-lines",
+            ),
+        ],
+    )
+    def test_refused_with_400_and_closed(self, tmp_path, raw):
+        async def scenario(port):
+            return await http_exchange(port, raw), await http_count(port)
+
+        ((status, doc, rest), (good, answer)), errors = front_door(
+            tmp_path, scenario
+        )
+        assert status == 400
+        assert doc["ok"] is False and doc["error"]["kind"] == "bad_request"
+        assert rest == b""  # the server closed the connection
+        assert good == 200 and answer["points"][0]["value"] == 45
+        assert errors == []
+
+    def test_limits_themselves_are_served(self, tmp_path):
+        async def scenario(port):
+            longest = await http_exchange(
+                port,
+                header_request(pad_header(MAX_LINE_BYTES), b"Connection: close\r\n"),
+            )
+            most = await http_exchange(
+                port,
+                header_request(
+                    *[b"X-H%d: v\r\n" % k for k in range(MAX_HEADERS - 1)],
+                    b"Connection: close\r\n",
+                ),
+            )
+            return longest, most
+
+        (longest, most), errors = front_door(tmp_path, scenario)
+        assert longest[0] == 200 and longest[1]["ok"] is True
+        assert most[0] == 200 and most[1]["ok"] is True
+        assert errors == []
+
+    def test_jsonl_serves_a_line_past_64KiB(self, tmp_path):
+        long_id = "x" * (70 * 1024)
+
+        async def scenario(port):
+            # The reply echoes the id, so it is past 64 KiB too.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port, limit=MAX_BODY_BYTES
+            )
+            try:
+                job = dict(COUNT_IJ, id=long_id)
+                writer.write((json.dumps(job) + "\n").encode("utf-8"))
+                await writer.drain()
+                writer.write_eof()
+                return [json.loads(line) async for line in reader]
+            finally:
+                writer.close()
+
+        responses, errors = front_door(tmp_path, scenario, JsonlFrontend)
+        assert len(responses) == 1
+        assert responses[0]["id"] == long_id and responses[0]["ok"] is True
+        assert errors == []
+
+    def test_jsonl_line_over_the_body_limit_is_refused(self, tmp_path):
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                first = dict(COUNT_IJ, id="in-flight")
+                writer.write((json.dumps(first) + "\n").encode("utf-8"))
+                writer.write(
+                    b'{"id": "' + b"x" * MAX_BODY_BYTES + b'"}\n'
+                    + (json.dumps(dict(COUNT_IJ, id="after")) + "\n").encode()
+                )
+                await writer.drain()
+                refused = [json.loads(line) async for line in reader]
+            finally:
+                writer.close()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write((json.dumps(COUNT_IJ) + "\n").encode("utf-8"))
+                await writer.drain()
+                writer.write_eof()
+                served = [json.loads(line) async for line in reader]
+            finally:
+                writer.close()
+            return refused, served
+
+        (refused, served), errors = front_door(
+            tmp_path, scenario, JsonlFrontend
+        )
+        by_id = {r["id"]: r for r in refused}
+        # One refusal; the request already in flight is answered, and
+        # nothing after the refused line is read.
+        assert len(refused) == 2 and set(by_id) == {None, "in-flight"}
+        assert by_id[None]["error"]["kind"] == "bad_request"
+        assert by_id["in-flight"]["ok"] is True
+        assert len(served) == 1 and served[0]["ok"] is True
+        assert errors == []
 
 
 def start_serve(tmp_path, **env_extra):
