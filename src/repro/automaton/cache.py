@@ -8,68 +8,19 @@ query point, box bounds and request kind are deliberately excluded)
 and kept in a process-global LRU.  A stream of ``member`` /
 ``count_below`` requests against one formula then pays for one build
 no matter how the variables are named or how many distinct points and
-thresholds arrive.
-
-Thread-safe: the serve daemon queries automata from its worker-thread
-pool.  ``REPRO_AUTOMATON_CACHE`` sets the capacity (default 256).
+thresholds arrive.  The serve daemon's worker threads share it.
 """
 
-import os
-import threading
-from collections import OrderedDict
+from repro.core import stats
 
-
-def _cap() -> int:
-    return max(1, int(os.environ.get("REPRO_AUTOMATON_CACHE", "256")))
-
-
-_lock = threading.Lock()
-_cache: "OrderedDict[str, object]" = OrderedDict()
-_hits = 0
-_misses = 0
-
-
-def cache_get(key: str):
-    """The cached automaton for ``key``, or ``None`` (LRU-touching)."""
-    global _hits, _misses
-    with _lock:
-        aut = _cache.get(key)
-        if aut is None:
-            _misses += 1
-            return None
-        _cache.move_to_end(key)
-        _hits += 1
-        return aut
-
-
-def cache_peek(key: str) -> bool:
-    """Is ``key`` resident?  No LRU touch, no counters."""
-    with _lock:
-        return key in _cache
-
-
-def cache_put(key: str, aut) -> None:
-    with _lock:
-        _cache[key] = aut
-        _cache.move_to_end(key)
-        cap = _cap()
-        while len(_cache) > cap:
-            _cache.popitem(last=False)
+#: The built automata kept in memory, at most 256.
+RESIDENT = stats.BoundedLRU(256, "automaton_cache")
 
 
 def clear_automaton_cache() -> None:
-    global _hits, _misses
-    with _lock:
-        _cache.clear()
-        _hits = 0
-        _misses = 0
+    RESIDENT.clear()
 
 
 def automaton_cache_info() -> dict:
-    with _lock:
-        return {
-            "entries": len(_cache),
-            "capacity": _cap(),
-            "hits": _hits,
-            "misses": _misses,
-        }
+    """Current size and capacity of the resident LRU."""
+    return {"size": len(RESIDENT), "limit": RESIDENT.limit}

@@ -19,7 +19,7 @@ threshold queries against one formula all amortize a single build.
 from typing import Optional, Sequence
 
 from repro.automaton.build import UnsupportedFormula, build_automaton
-from repro.automaton.cache import cache_get, cache_peek, cache_put
+from repro.automaton.cache import RESIDENT
 from repro.automaton.query import count_exact
 from repro.core import stats
 from repro.core.options import DEFAULT_OPTIONS, SumOptions
@@ -74,11 +74,13 @@ def automaton_for(formula, over: Sequence[str],
     elif key is None:
         key = automaton_key(formula, over)
     if key is not None:
-        aut = cache_get(key)
+        aut = RESIDENT.get(key)
         if aut is not None:
             if stats.ENABLED:
                 stats.bump("automaton_cache_hits")
             return aut
+        if stats.ENABLED:
+            stats.bump("automaton_cache_misses")
         # Second chance: the persistent store (REPRO_AUTOMATON_DB).
         # A daemon restart keeps its working set -- deserializing a
         # minimized DFA is far cheaper than product + projection +
@@ -87,14 +89,14 @@ def automaton_for(formula, over: Sequence[str],
 
         aut = store_get(key)
         if aut is not None:
-            cache_put(key, aut)
+            RESIDENT.put(key, aut)
             return aut
     aut = build_automaton(formula, over)
     if stats.ENABLED:
         stats.bump("automaton_builds")
         stats.bump("automaton_states", aut.n_states)
     if key is not None:
-        cache_put(key, aut)
+        RESIDENT.put(key, aut)
         from repro.automaton.store import store_put
 
         store_put(key, aut)
@@ -113,7 +115,7 @@ def has_resident_automaton(key: str) -> bool:
     still orders of magnitude below a rebuild, and the load
     re-residents it.
     """
-    if cache_peek(key):
+    if RESIDENT.peek(key) is not None:
         return True
     from repro.automaton.store import store_contains
 

@@ -482,9 +482,8 @@ def conjunct_fingerprint(
         len(cvars),
         len(conj.wildcards),
         tuple(sorted(_constraint_shape(c) for c in conj.constraints)),
-        # Integer pairs, not Fractions: hashing and comparing a memo
-        # key must run no Python code, or another thread can mutate the
-        # memo's OrderedDict in the middle of an operation on it.
+        # Integer pairs, not Fractions: they hash and compare in C,
+        # which keeps the memo's locked operations short.
         tuple(
             sorted((c.numerator, c.denominator) for c in poly.terms.values())
         ),

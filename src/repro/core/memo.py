@@ -51,13 +51,13 @@ cost about a third of a nest round, so lookups are gated:
   conjuncts, new value polynomials -- so callers mutating a returned
   answer (``Polynomial.terms`` is an exposed dict) cannot poison the
   cache.
-* **Bounded + instrumented.**  One ``OrderedDict`` LRU holds keyed
-  answers, keyed pieces and fingerprint records (each with its
-  pending raw nodes), at most :func:`set_answer_memo` items in all
-  (``REPRO_ANSWER_MEMO`` presets it; ``0`` or ``off`` disables).
-  ``answer_memo_hits / misses / evictions / renames`` count every
-  lookup and eviction, and ``stats.engine_snapshot()`` reports the
-  occupancy.
+* **Bounded + instrumented.**  One :class:`~repro.core.stats.BoundedLRU`
+  named ``answer_memo`` holds keyed answers, keyed pieces and
+  fingerprint records (each with its pending raw nodes), at most
+  :func:`set_answer_memo` items in all (``REPRO_ANSWER_MEMO`` presets
+  it; ``0`` or ``off`` disables).  ``answer_memo_hits / misses /
+  evictions / renames`` count every lookup and eviction, and
+  ``stats.engine_snapshot()`` reports the occupancy.
 * **Persistent roots.**  With ``REPRO_ANSWER_DB=path`` set, the memo
   persists the *root* node of every ``sum_over_conjunct`` call to an
   ``answers`` table managed by the service's sqlite LRU layer
@@ -70,7 +70,6 @@ cost about a third of a nest round, so lookups are gated:
 
 import hashlib
 import os
-from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core import stats
@@ -105,8 +104,6 @@ def _env_capacity() -> int:
         return DEFAULT_CAPACITY
 
 
-_CAPACITY = _env_capacity()
-
 #: The one LRU, holding items of two kinds:
 #:
 #: * canonical key (str) -> (payload in canonical names, flags,
@@ -116,12 +113,10 @@ _CAPACITY = _env_capacity()
 #: * fingerprint (tuple) -> list of raw nodes not keyed yet (empty
 #:   once the fingerprint has recurred).
 #:
-#: The daemon's cold thread pool can reach the memo too.  Keys are
-#: strs and tuples of strs and ints, whose hashing and comparison run
-#: no Python code, so no other thread can run inside an OrderedDict
-#: operation; between operations, every access tolerates an item
-#: vanishing.
-_MEMO: "OrderedDict[object, object]" = OrderedDict()
+#: The daemon's cold thread pool can reach the memo too; the LRU's
+#: lock makes each access atomic, and between accesses an item may
+#: vanish, which every access tolerates.
+_MEMO = stats.BoundedLRU(_env_capacity(), "answer_memo")
 
 _DISK = None
 _DISK_PATH: Optional[str] = None
@@ -138,25 +133,18 @@ def set_answer_memo(capacity) -> int:
     evicts least-recently-used items.  Mirrors
     ``repro.evalc.set_compile_enabled`` so tests can A/B the memo.
     """
-    global _CAPACITY
-    previous = _CAPACITY
     if capacity is True:
         capacity = DEFAULT_CAPACITY
     elif capacity is False:
         capacity = 0
     capacity = int(capacity)
-    if capacity < 0:
-        raise ValueError("answer memo capacity must be >= 0")
-    _CAPACITY = capacity
     if capacity == 0:
         _MEMO.clear()
-    else:
-        _shrink()
-    return previous
+    return _MEMO.resize(capacity)
 
 
 def answer_memo_enabled() -> bool:
-    return _CAPACITY > 0
+    return _MEMO.limit > 0
 
 
 def clear_answer_memo() -> None:
@@ -166,25 +154,7 @@ def clear_answer_memo() -> None:
 
 def answer_memo_info() -> Dict[str, int]:
     """Occupancy for ``stats.engine_snapshot()``."""
-    return {"size": len(_MEMO), "limit": _CAPACITY}
-
-
-def _shrink() -> None:
-    """Evict least-recently-used items down to the capacity."""
-    while len(_MEMO) > _CAPACITY:
-        try:
-            _MEMO.popitem(last=False)
-        except KeyError:  # emptied by another thread meanwhile
-            return
-        if stats.ENABLED:
-            stats.bump("answer_memo_evictions")
-
-
-def _insert(key, item) -> None:
-    """Put ``item`` at the most-recently-used end, then evict."""
-    _MEMO.pop(key, None)
-    _MEMO[key] = item
-    _shrink()
+    return {"size": len(_MEMO), "limit": _MEMO.limit}
 
 
 def _free_signature(back: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
@@ -354,7 +324,7 @@ def lookup(
     """
     fp = conjunct_fingerprint(conj, cvars, poly, mode)
     persist = root and _disk_store() is not None
-    pending = _MEMO.get(fp)
+    pending = _MEMO.peek(fp)
     if pending is None and not persist:
         # First sighting: no stored key can match.
         if stats.ENABLED:
@@ -370,7 +340,7 @@ def lookup(
             mode,
         )
         return None, (fp, node, None)
-    _insert(fp, [])
+    _MEMO.put(fp, [])
     for node in pending or ():
         _promote(*node)
     key, names, back = canonical_conjunct_key(conj, cvars, poly, mode)
@@ -386,7 +356,7 @@ def remember(ticket, payload: Sequence, flags=None) -> None:
     ``flags`` is the ``(inexact_upper, inexact_lower)`` pair of a
     ``_sum`` node, and None for elimination pieces.
     """
-    if _CAPACITY == 0:
+    if not _MEMO.limit:
         return
     fp, node, keyed = ticket
     if keyed is not None:
@@ -394,13 +364,13 @@ def remember(ticket, payload: Sequence, flags=None) -> None:
         _store(key, names, payload, flags, persist)
         return
     raw = node + (_raw_copy(payload, flags), flags)
-    pending = _MEMO.get(fp)
+    pending = _MEMO.peek(fp)
     if pending is not None:
         # The shape recurred while this node was computed; the next
         # sighting keys this node too.
         pending.append(raw)
     else:
-        _insert(fp, [raw])
+        _MEMO.put(fp, [raw])
 
 
 def _promote(constraints, wildcards, cvars, terms, mode, raw, flags) -> None:
@@ -421,15 +391,11 @@ def _fetch(key: str, back: Dict[str, str], probe_disk: bool):
         found = _disk_fetch(key)
         if found is not None:
             entry = found + (_free_signature(back),)
-            _insert(key, entry)
+            _MEMO.put(key, entry)
     if entry is None:
         if stats.ENABLED:
             stats.bump("answer_memo_misses")
         return None
-    try:
-        _MEMO.move_to_end(key)
-    except KeyError:  # evicted by another thread meanwhile
-        pass
     payload, flags, stored_sig = entry
     if stats.ENABLED:
         stats.bump("answer_memo_hits")
@@ -454,7 +420,7 @@ def _store(
             if canon.startswith(FREE_PREFIX)
         )
     )
-    _insert(key, (canonical, flags, back_sig))
+    _MEMO.put(key, (canonical, flags, back_sig))
     if persist:
         _disk_persist(key, canonical, flags)
 

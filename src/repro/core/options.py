@@ -20,11 +20,13 @@ here (they are process-global, not per-call):
 
 * ``repro.omega.satisfiability.set_sat_cache_limit`` -- capacity of
   the satisfiability LRU memo (default 200000 entries; 0 disables).
+* ``repro.core.memo.set_answer_memo`` / ``REPRO_ANSWER_MEMO`` --
+  capacity of the answer memo (default 50000 items; 0 disables).
 * ``repro.omega.problem.set_normalize_memo`` -- the per-instance
   ``Conjunct.normalize`` memo (on by default).
 * ``repro.core.stats`` -- opt-in counters for every hot primitive;
   see ``collecting_stats`` / ``stats_snapshot`` and the CLI's
-  ``--stats`` flag.
+  ``--stats`` flag, which reports every cache in one schema.
 """
 
 import enum

@@ -12,10 +12,14 @@ disabled: instrumented call sites guard every update with a single
 ``if stats.ENABLED`` attribute check.  This module deliberately
 imports nothing from the rest of the package at import time so the
 low-level ``repro.omega`` modules can depend on it without layering
-cycles (``engine_snapshot`` imports the sat cache lazily).
+cycles.
 
-Two service-facing facilities also live here:
+Three more facilities also live here:
 
+* **Bounded caches.**  :class:`BoundedLRU` is the package's one
+  in-memory cache.  Each registered cache reports ``<name>_size`` and
+  ``_limit`` in :func:`engine_snapshot` and ``_hits``, ``_misses`` and
+  ``_evictions`` among the counters; :func:`clear_caches` empties them.
 * **Work budgets.**  ``set_work_budget(n)`` arms a process-global cap
   on engine work, measured in satisfiability calls (the engine's unit
   of forward progress).  Instrumented sites call ``charge_budget``,
@@ -25,8 +29,8 @@ Two service-facing facilities also live here:
 * **Snapshot isolation.**  All counters are process-global, so
   concurrent jobs in one process would interleave.  The batch service
   therefore runs each job in its own worker process and calls
-  :func:`reset_stats` + :func:`enable_stats` at job start; the
-  per-job ``stats`` block in a batch response is an
+  :func:`clear_caches`, :func:`reset_stats` and :func:`enable_stats`
+  at job start; the per-job ``stats`` block in a batch response is an
   :func:`engine_snapshot` taken right before the worker returns.
 
 Usage::
@@ -40,6 +44,9 @@ Usage::
 or imperatively with :func:`enable_stats` / :func:`stats_snapshot`.
 """
 
+import os
+import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Union
 
@@ -70,6 +77,9 @@ COUNTER_NAMES = (
     "answer_memo_misses",  # nodes that had to be computed
     "answer_memo_evictions",  # LRU entries dropped to respect the cap
     "answer_memo_renames",  # hits translated across free-symbol names
+    "evalc_cache_hits",  # compile_sum calls answered by a cached evaluator
+    "evalc_cache_misses",  # compile_sum calls that compiled
+    "evalc_cache_evictions",  # evaluators dropped to respect the cap
     "genfunc_calls",  # queries the router first offered to genfunc
     "genfunc_fallbacks",  # of those, rejected and re-run on the recursion
     "genfunc_clauses",  # clauses the cone pipeline counted
@@ -79,6 +89,8 @@ COUNTER_NAMES = (
     "automaton_builds",  # formula automata actually constructed
     "automaton_states",  # states across those constructions (post-minimize)
     "automaton_cache_hits",  # builds avoided by the resident LRU
+    "automaton_cache_misses",  # keyed lookups the resident LRU lacked
+    "automaton_cache_evictions",  # automata dropped to respect the cap
     "automaton_disk_hits",  # builds restored from the persistent store
     "automaton_disk_writes",  # built automata persisted to the store
 )
@@ -187,26 +199,117 @@ def stats_snapshot() -> Dict[str, int]:
     return dict(_counters)
 
 
+#: The process-wide caches, by name (see :class:`BoundedLRU`).
+_CACHES: Dict[str, "BoundedLRU"] = {}
+
+
+class BoundedLRU:
+    """A bounded least-recently-used map that threads may share.
+
+    One lock guards each map operation, never the computing of a value,
+    so no thread can mutate the map while a key's ``__hash__``/``__eq__``
+    runs Python code (which must not touch a cache: the lock is not
+    re-entrant).  A *named* instance registers for
+    :func:`engine_snapshot` and :func:`clear_caches`, and counts every
+    eviction, shrinking included, into ``<name>_evictions``; what a hit
+    or a miss is differs by cache, so callers count those.
+    """
+
+    __slots__ = ("name", "limit", "_map", "_lock")
+
+    def __init__(self, limit: int, name: Optional[str] = None):
+        self.name = name
+        self.limit = limit
+        self._map: "OrderedDict[object, object]" = OrderedDict()
+        self._lock = threading.Lock()
+        if name is not None:
+            _CACHES[name] = self
+
+    def get(self, key):
+        """The value under ``key`` or None; marks the key most recent."""
+        with self._lock:
+            value = self._map.get(key)
+            if value is not None:
+                self._map.move_to_end(key)
+            return value
+
+    def peek(self, key):
+        """The value under ``key`` or None, leaving the order alone."""
+        with self._lock:
+            return self._map.get(key)
+
+    def put(self, key, value) -> None:
+        """Store as most recent, then evict past the limit (a limit of
+        0 stores nothing)."""
+        with self._lock:
+            if self.limit > 0:
+                self._map[key] = value
+                self._map.move_to_end(key)
+                self._evict()
+
+    def pop(self, key):
+        """Remove ``key``; returns its value or None."""
+        with self._lock:
+            return self._map.pop(key, None)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._map.clear()
+
+    def resize(self, limit: int) -> int:
+        """Set the limit, evicting the oldest entries past it; returns
+        the previous limit."""
+        if limit < 0:
+            raise ValueError("cache limit must be >= 0")
+        with self._lock:
+            previous, self.limit = self.limit, limit
+            self._evict()
+        return previous
+
+    def _evict(self) -> None:
+        excess = len(self._map) - self.limit
+        for _ in range(excess):
+            self._map.popitem(last=False)
+        if excess > 0 and ENABLED and self.name is not None:
+            bump(self.name + "_evictions", excess)
+
+    def __len__(self) -> int:
+        return len(self._map)
+
+    def __iter__(self) -> Iterator[object]:
+        with self._lock:
+            return iter(list(self._map))
+
+
+def clear_caches() -> None:
+    """Empty every registered cache (a forked worker's fresh start)."""
+    for cache in list(_CACHES.values()):
+        cache.clear()
+
+
+def _fresh_locks() -> None:
+    # A fork copies each lock as it stands, held or not, but not the
+    # thread that held it, so the child takes new ones.
+    for cache in _CACHES.values():
+        cache._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_locks)
+
+
 def engine_snapshot() -> Dict[str, Union[int, float]]:
     """Counters *and* cache occupancy in one mapping.
 
-    This is the single introspection entry point shared by the CLI's
-    ``--stats`` output and the batch service's per-job ``stats`` block:
-    everything in :func:`stats_snapshot` plus the satisfiability LRU's
-    current ``sat_cache_size`` / ``sat_cache_limit``.  The sat cache is
-    imported lazily to keep this module import-cycle free.
+    The one introspection entry point behind the CLI's ``--stats``,
+    every service response's ``stats`` block and the daemon's
+    ``/stats``: :func:`stats_snapshot` plus ``<name>_size`` and
+    ``<name>_limit`` of each registered :class:`BoundedLRU` (a cache
+    whose module this process never imported is not reported).
     """
     snap = stats_snapshot()
-    from repro.omega.satisfiability import sat_cache_info
-
-    info = sat_cache_info()
-    snap["sat_cache_size"] = info["size"]
-    snap["sat_cache_limit"] = info["limit"]
-    from repro.core.memo import answer_memo_info
-
-    memo = answer_memo_info()
-    snap["answer_memo_size"] = memo["size"]
-    snap["answer_memo_limit"] = memo["limit"]
+    for name, cache in list(_CACHES.items()):
+        snap[name + "_size"] = len(cache)
+        snap[name + "_limit"] = cache.limit
     from repro.core.backend import current_backend
 
     snap["backend"] = current_backend()
@@ -240,18 +343,16 @@ def collecting_stats(reset: bool = True) -> Iterator[Dict[str, int]]:
 def format_stats(snapshot=None) -> str:
     """Human-readable one-counter-per-line rendering.
 
-    Accepts a snapshot mapping; defaults to the live counters.  Hit
-    rates are derived for the two caches when their totals are
-    nonzero.
+    Accepts a snapshot mapping; defaults to the live counters.
     """
     snap = dict(stats_snapshot() if snapshot is None else snapshot)
     lines = []
     for name in COUNTER_NAMES:
-        lines.append("%-22s %d" % (name, snap.pop(name, 0)))
+        lines.append("%-25s %d" % (name, snap.pop(name, 0)))
     for name in sorted(snap):
         value = snap[name]
         if isinstance(value, float):
-            lines.append("%-22s %.6f" % (name, value))
+            lines.append("%-25s %.6f" % (name, value))
         else:
-            lines.append("%-22s %s" % (name, value))
+            lines.append("%-25s %s" % (name, value))
     return "\n".join(lines)

@@ -18,13 +18,13 @@ consecutive thresholds.  Serving a point is then ``v % L`` /
 ``v // L``, one bisect, and one dense Horner chain: O(log #pieces +
 degree), independent of the number of terms.
 
-Compiled artifacts are cached in a bounded in-process LRU keyed by the
+Compiled artifacts are cached in a bounded in-process LRU (the
+``evalc_cache`` :class:`~repro.core.stats.BoundedLRU`) keyed by the
 sum itself (or any hashable key the caller supplies -- the batch
 service passes its request content hash).
 """
 
 from bisect import bisect_right
-from collections import OrderedDict
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -54,8 +54,8 @@ from repro.evalc.lower import (
 _COMPILE_ENABLED = True
 
 #: Bounded LRU of compiled artifacts.
-_CACHE: "OrderedDict[object, CompiledSum]" = OrderedDict()
 _CACHE_LIMIT = 128
+_CACHE = stats.BoundedLRU(_CACHE_LIMIT, "evalc_cache")
 
 #: Residue classes beyond this make a table plan cost more to build
 #: than it saves; serve such answers point-by-point instead.
@@ -270,7 +270,7 @@ class CompiledSum:
         namespace = {"_fb": _fb}
         exec(compile(self.source, "<evalc>", "exec"), namespace)
         self._fn = namespace["_at"]
-        self._plans: "OrderedDict[tuple, object]" = OrderedDict()
+        self._plans = stats.BoundedLRU(8)  # table plans by slice
         if stats.ENABLED:
             stats.bump("evalc_compiles")
 
@@ -309,14 +309,12 @@ class CompiledSum:
 
     def _plan_for(self, var: str, fixed: Mapping[str, int]):
         key = (var, tuple(sorted(fixed.items())))
-        if key in self._plans:
-            self._plans.move_to_end(key)
-            return self._plans[key]
-        plan = build_table_plan(self.sum, var, fixed)
-        self._plans[key] = plan  # None is cached too: "no plan" is sticky
-        if len(self._plans) > 8:
-            self._plans.popitem(last=False)
-        return plan
+        plan = self._plans.get(key)
+        if plan is None:
+            # False caches "no plan": that answer is sticky too.
+            plan = build_table_plan(self.sum, var, fixed) or False
+            self._plans.put(key, plan)
+        return plan or None
 
 
 def compile_sum(sum_, cache_key: Optional[object] = None) -> CompiledSum:
@@ -329,14 +327,13 @@ def compile_sum(sum_, cache_key: Optional[object] = None) -> CompiledSum:
     key = sum_ if cache_key is None else cache_key
     cached = _CACHE.get(key)
     if cached is not None:
-        _CACHE.move_to_end(key)
         if stats.ENABLED:
             stats.bump("evalc_cache_hits")
         return cached
+    if stats.ENABLED:
+        stats.bump("evalc_cache_misses")
     compiled = CompiledSum(sum_)
-    _CACHE[key] = compiled
-    if len(_CACHE) > _CACHE_LIMIT:
-        _CACHE.popitem(last=False)
+    _CACHE.put(key, compiled)
     return compiled
 
 

@@ -8,7 +8,6 @@ we try the dark shadow (sufficient) and fall back to splinters
 (complete).
 """
 
-from collections import OrderedDict
 from operator import itemgetter
 from typing import Optional
 
@@ -39,14 +38,10 @@ class SatBlowupError(RuntimeError):
 #: Memo for satisfiability results.  Guard evaluation re-solves the
 #: same ground conjuncts over and over (every ``SymbolicSum.evaluate``
 #: substitutes the same guards), so this cache is a large
-#: constant-factor win.  Keys are tuples of strs and ints (see
-#: :func:`_cache_key`), which hash and compare in C: the daemon's cold
-#: thread pool shares this dict.  The memo is a bounded LRU: when full,
-#: the *least recently used* entry is evicted (the old behaviour --
-#: dropping the entire cache at once -- made long evaluations lose
-#: their whole working set at a cliff).
-_SAT_CACHE: "OrderedDict[tuple, bool]" = OrderedDict()
-_SAT_CACHE_LIMIT = 200000
+#: constant-factor win.  A bounded LRU (dropping the whole cache at
+#: once made long evaluations lose their working set at a cliff), keyed
+#: by :func:`_cache_key` and shared by the daemon's cold thread pool.
+_SAT_CACHE = stats.BoundedLRU(200000, "sat_cache")
 
 
 def _cache_key(conj: Conjunct) -> tuple:
@@ -96,14 +91,7 @@ def set_sat_cache_limit(limit: int) -> int:
     prove memoization never changes results).  Shrinking below the
     current size evicts oldest entries immediately.
     """
-    global _SAT_CACHE_LIMIT
-    if limit < 0:
-        raise ValueError("cache limit must be >= 0")
-    previous = _SAT_CACHE_LIMIT
-    _SAT_CACHE_LIMIT = limit
-    while len(_SAT_CACHE) > limit:
-        _SAT_CACHE.popitem(last=False)
-    return previous
+    return _SAT_CACHE.resize(limit)
 
 
 def clear_sat_cache() -> None:
@@ -113,7 +101,7 @@ def clear_sat_cache() -> None:
 
 def sat_cache_info() -> dict:
     """Current size and capacity of the satisfiability LRU."""
-    return {"size": len(_SAT_CACHE), "limit": _SAT_CACHE_LIMIT}
+    return {"size": len(_SAT_CACHE), "limit": _SAT_CACHE.limit}
 
 
 def satisfiable(conj: Conjunct, depth: int = 0) -> bool:
@@ -129,7 +117,6 @@ def satisfiable(conj: Conjunct, depth: int = 0) -> bool:
     key = _cache_key(conj)
     cached = _SAT_CACHE.get(key)
     if cached is not None:
-        _SAT_CACHE.move_to_end(key)
         if stats.ENABLED:
             stats.bump("sat_cache_hits")
         return cached
@@ -141,12 +128,7 @@ def satisfiable(conj: Conjunct, depth: int = 0) -> bool:
     if stats.BUDGET_LIMIT is not None:
         stats.charge_budget()
     result = _satisfiable_uncached(conj, depth)
-    if _SAT_CACHE_LIMIT > 0:
-        _SAT_CACHE[key] = result
-        if len(_SAT_CACHE) > _SAT_CACHE_LIMIT:
-            _SAT_CACHE.popitem(last=False)
-            if stats.ENABLED:
-                stats.bump("sat_cache_evictions")
+    _SAT_CACHE.put(key, result)
     return result
 
 

@@ -57,7 +57,6 @@ import asyncio
 import os
 import sqlite3
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Optional
 
@@ -103,14 +102,6 @@ def _env_int(name: str) -> Optional[int]:
 def _env_float(name: str) -> Optional[float]:
     value = os.environ.get(name)
     return float(value) if value else None
-
-
-def _remember(entries: OrderedDict, key: str, value: dict) -> None:
-    """Insert as most recent, evicting the oldest past ``ARTIFACT_CAP``."""
-    entries[key] = value
-    entries.move_to_end(key)
-    while len(entries) > ARTIFACT_CAP:
-        entries.popitem(last=False)
 
 
 class ServeConfig:
@@ -224,8 +215,8 @@ class CountingDaemon:
         else:
             self.cache = None
         self._inflight: "dict[str, _InFlight]" = {}
-        self._artifacts: "OrderedDict[str, dict]" = OrderedDict()
-        self._bodies: "OrderedDict[str, dict]" = OrderedDict()
+        self._artifacts = stats.BoundedLRU(ARTIFACT_CAP)
+        self._bodies = stats.BoundedLRU(ARTIFACT_CAP)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._io: Optional[ThreadPoolExecutor] = None
         self._draining = False
@@ -333,15 +324,13 @@ class CountingDaemon:
         # Tier 1: warm -- settled bodies in memory, then the results store.
         if self.cache is not None and self._io is not None:
             core = self._bodies.get(key)
-            if core is not None:
-                self._bodies.move_to_end(key)
-            else:
+            if core is None:
                 payload = await loop.run_in_executor(
                     self._io, self.cache.get, key
                 )
                 if payload is not None and "result" in payload:
                     core = response_core(payload)
-                    _remember(self._bodies, key, core)
+                    self._bodies.put(key, core)
             if core is not None:
                 m.bump("warm_hits")
                 return self._ok_response(req.id, core, t0, "warm", cached=True)
@@ -425,7 +414,7 @@ class CountingDaemon:
                     except (sqlite3.Error, OSError):
                         pass
                     else:
-                        _remember(self._bodies, key, response_core(payload))
+                        self._bodies.put(key, response_core(payload))
                 self._remember_artifact(req, payload)
             return outcome
         finally:
@@ -483,8 +472,7 @@ class CountingDaemon:
         """Keep the symbolic answer keyed by point-free formula hash."""
         if "result_json" not in payload:
             return
-        _remember(
-            self._artifacts,
+        self._artifacts.put(
             req.formula_hash(),
             {
                 "result": payload["result"],

@@ -126,30 +126,76 @@ def response_status(response: dict) -> int:
     return _ERROR_STATUS.get(kind, 500)
 
 
-class HttpFrontend:
-    """Minimal HTTP/1.1 server over the daemon."""
+class _Frontend:
+    """A listening server over the daemon, and its open connections,
+    each with the number of its requests in flight."""
+
+    #: Stream limit per connection: readline raises ValueError, instead
+    #: of buffering on, for a longer line.
+    LIMIT = MAX_LINE_BYTES - 1
 
     def __init__(
-        self, daemon: CountingDaemon, host: str = "127.0.0.1", port: int = 8722
+        self, daemon: CountingDaemon, host: str = "127.0.0.1", port: int = 0
     ):
         self.daemon = daemon
         self.host = host
         self.port = port
         self.server: Optional[asyncio.AbstractServer] = None
+        self._open: dict = {}  # writer -> requests in flight on it
+        self._handlers: set = set()
+        self._closing = False
 
     async def start(self) -> None:
-        # readline raises ValueError, instead of buffering on, for a
-        # line with more than ``limit`` bytes before its newline.
         self.server = await asyncio.start_server(
-            self._client, self.host, self.port, limit=MAX_LINE_BYTES - 1
+            self._connected, self.host, self.port, limit=self.LIMIT
         )
         self.port = self.server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        if self.server is not None:
-            self.server.close()
-            await self.server.wait_closed()
-            self.server = None
+        """Stop listening, close idle connections now and busy ones
+        after their last answer, and wait for every handler.  Call it
+        once :meth:`CountingDaemon.drain` has settled the requests in
+        flight.  (``Server.wait_closed`` alone waits for idle clients
+        since Python 3.12; before, teardown cancelled their handlers.)
+        """
+        if self.server is None:
+            return
+        self.server.close()
+        self._closing = True
+        for writer, busy in self._open.items():
+            if not busy:
+                writer.close()
+        if self._handlers:
+            await asyncio.wait(self._handlers)
+        await self.server.wait_closed()
+        self.server = None
+
+    async def _connected(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
+        self._open[writer] = 0
+        try:
+            await self._client(reader, writer)
+        finally:
+            del self._open[writer]
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, BrokenPipeError):  # pragma: no cover
+                pass
+
+    def _busy(self, writer, delta: int) -> None:
+        """Count a request read from (+1) or answered on (-1) a
+        connection; once stopping, close it after its last answer."""
+        if writer in self._open:
+            self._open[writer] += delta
+            if self._closing and not self._open[writer]:
+                writer.close()
+
+
+class HttpFrontend(_Frontend):
+    """Minimal HTTP/1.1 server over the daemon."""
 
     async def _client(self, reader, writer) -> None:
         try:
@@ -165,8 +211,10 @@ class HttpFrontend:
                 close = (
                     headers.get("connection", "").lower() == "close"
                 )
+                self._busy(writer, 1)
                 status, doc = await self._route(method, path, headers, body)
                 await self._respond(writer, status, doc, close)
+                self._busy(writer, -1)
                 if close:
                     break
         except (
@@ -175,12 +223,6 @@ class HttpFrontend:
             asyncio.CancelledError,
         ):
             pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
 
     async def _read_request(self, reader):
         """One request: (method, path, headers, body, failure) or None."""
@@ -284,30 +326,12 @@ class HttpFrontend:
         await writer.drain()
 
 
-class JsonlFrontend:
+class JsonlFrontend(_Frontend):
     """JSONL-over-TCP front end: one request/response object per line."""
 
-    def __init__(
-        self, daemon: CountingDaemon, host: str = "127.0.0.1", port: int = 0
-    ):
-        self.daemon = daemon
-        self.host = host
-        self.port = port
-        self.server: Optional[asyncio.AbstractServer] = None
-
-    async def start(self) -> None:
-        # A line may be as long as an HTTP body; asyncio's default
-        # stream limit (64 KiB) would refuse longer ones.
-        self.server = await asyncio.start_server(
-            self._client, self.host, self.port, limit=MAX_BODY_BYTES
-        )
-        self.port = self.server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        if self.server is not None:
-            self.server.close()
-            await self.server.wait_closed()
-            self.server = None
+    # A line may be as long as an HTTP body; asyncio's default stream
+    # limit (64 KiB) would refuse longer ones.
+    LIMIT = MAX_BODY_BYTES
 
     async def _client(self, reader, writer) -> None:
         lock = asyncio.Lock()
@@ -329,22 +353,18 @@ class JsonlFrontend:
                     break
                 if not line.strip():
                     continue
+                self._busy(writer, 1)
                 task = asyncio.ensure_future(
                     self._serve_line(line, writer, lock)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+                task.add_done_callback(lambda _: self._busy(writer, -1))
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
         except (ConnectionError, asyncio.CancelledError):
             for task in tasks:
                 task.cancel()
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
 
     async def _serve_line(self, line: bytes, writer, lock) -> None:
         try:
@@ -396,11 +416,13 @@ async def _serve(config: ServeConfig, ready_stream=None) -> int:
     await stop.wait()
 
     print("repro serve: draining...", file=stream, flush=True)
-    await http.stop()
-    if jsonl is not None:
-        await jsonl.stop()
+    fronts = [front for front in (http, jsonl) if front is not None]
+    for front in fronts:
+        front.server.close()  # no new connections
     snapshot = daemon.metrics.snapshot()
     await daemon.drain()
+    for front in fronts:
+        await front.stop()
     counters = snapshot["counters"]
     print(
         "repro serve: drained; %d requests (%d warm, %d coalesced,"

@@ -310,19 +310,13 @@ def _worker_main(req_json: dict, conn, budget: Optional[int]) -> None:
             else:
                 os.close(fd)
                 os._exit(POISON_EXIT_CODE)
-    from repro.automaton.cache import clear_automaton_cache
-    from repro.core.memo import clear_answer_memo
-    from repro.omega.satisfiability import clear_sat_cache
-
     # Per-job isolation: a forked worker inherits whatever the parent
     # (or, on some platforms, a reused interpreter) had cached, so the
     # job's stats block must start from empty caches.  The persistent
     # answer layer (REPRO_ANSWER_DB, inherited through the environment)
     # deliberately survives: that is how warm batch runs answer clauses
     # from disk.
-    clear_sat_cache()
-    clear_answer_memo()
-    clear_automaton_cache()
+    stats.clear_caches()
     # A forked worker also inherits the daemon's fresh-name counter;
     # restart it so the wildcard names a simplify answer prints do
     # not depend on what the daemon parsed before.

@@ -51,7 +51,7 @@ import random
 import tempfile
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core import count, sum_poly
+from repro.core import count, stats, sum_poly
 from repro.presburger.ast import _Quantifier, And, Formula, Not, Or
 from repro.presburger.dnf import to_dnf
 from repro.qpoly.parse import parse_polynomial
@@ -461,14 +461,11 @@ def check_genfunc_backend(case: FuzzCase) -> Optional[CheckFailure]:
       rejects (``UnsupportedFormula``) are skipped, never failed --
       the router's fallback covers them above.
     """
-    from repro.core.memo import clear_answer_memo
     from repro.genfunc import UnsupportedFormula, genfunc_count_value
     from repro.omega.constraints import reset_fresh_counter
-    from repro.omega.satisfiability import clear_sat_cache
 
     def cold():
-        clear_sat_cache()
-        clear_answer_memo()
+        stats.clear_caches()
         reset_fresh_counter()
 
     cold()
@@ -524,22 +521,17 @@ def check_automaton_backend(case: FuzzCase) -> Optional[CheckFailure]:
     from repro.automaton import (
         UnsupportedFormula,
         automaton_for,
-        clear_automaton_cache,
         count_box,
         count_exact,
         member,
     )
     from repro.core.convex import UnboundedSumError
-    from repro.core.memo import clear_answer_memo
     from repro.genfunc import UnsupportedFormula as GenfuncUnsupported
     from repro.genfunc import genfunc_count_value
     from repro.omega.constraints import reset_fresh_counter
-    from repro.omega.satisfiability import clear_sat_cache
 
     def cold():
-        clear_sat_cache()
-        clear_answer_memo()
-        clear_automaton_cache()
+        stats.clear_caches()
         reset_fresh_counter()
 
     cold()

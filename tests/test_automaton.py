@@ -28,7 +28,7 @@ from repro.automaton import (
     member,
     min_width,
 )
-from repro.automaton.cache import automaton_cache_info
+from repro.core import stats
 from repro.core.convex import UnboundedSumError
 from repro.presburger.parser import parse
 
@@ -203,8 +203,9 @@ class TestFragmentAndCache:
 
     def test_resident_cache_hits(self):
         f = parse("0 <= i <= 9 and 0 <= j <= 9 and i + j <= 9")
-        a1 = automaton_for(f, ["i", "j"])
-        a2 = automaton_for(parse("0 <= a <= 9 and 0 <= b <= 9 and a + b <= 9"), ["a", "b"])
+        with stats.collecting_stats() as counters:
+            a1 = automaton_for(f, ["i", "j"])
+            a2 = automaton_for(parse("0 <= a <= 9 and 0 <= b <= 9 and a + b <= 9"), ["a", "b"])
         assert a1 is a2
-        info = automaton_cache_info()
-        assert info["hits"] >= 1 and info["entries"] >= 1
+        assert counters["automaton_cache_hits"] >= 1
+        assert stats.engine_snapshot()["automaton_cache_size"] >= 1

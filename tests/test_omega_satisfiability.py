@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +254,60 @@ class TestSatCacheLRU:
         with stats.collecting_stats() as counters:
             assert not satisfiable(conj)
         assert counters["sat_cache_hits"] == 1
+
+
+class TestSatCacheThreads:
+    def test_threads_sharing_a_tiny_sat_cache_get_exact_answers(self):
+        """The daemon's cold thread pool shares the sat cache.
+
+        Eight threads count through a 4-entry cache, with the answer
+        memo off and rapid thread switching, so entries are evicted
+        between the steps of other threads' lookups.  Nothing may
+        raise, and every answer must equal the single-threaded one.
+        """
+        from repro.core import count
+        from repro.core.memo import set_answer_memo
+        from repro.omega import satisfiability as sat
+
+        formulas = ["1 <= i <= %d*n and 3 | (i + n)" % k for k in range(1, 5)]
+
+        def values(k):
+            result = count(formulas[k], ["i"])
+            return [result.evaluate(n=n) for n in range(10)]
+
+        errors = []
+        wrong = []
+
+        def worker(offset):
+            try:
+                for step in range(40):
+                    k = (offset + step) % len(formulas)
+                    if values(k) != want[k]:
+                        wrong.append(k)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(8)
+        ]
+        previous_memo = set_answer_memo(0)
+        previous_limit = sat.set_sat_cache_limit(4)
+        interval = sys.getswitchinterval()
+        try:
+            want = [values(k) for k in range(len(formulas))]
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            sat.set_sat_cache_limit(previous_limit)
+            set_answer_memo(previous_memo)
+            sat.clear_sat_cache()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert wrong == []
 
 
 class TestSatCacheKey:

@@ -5,8 +5,10 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -353,17 +355,15 @@ def pad_header(total):
 def front_door(tmp_path, scenario, front_cls=HttpFrontend):
     """Run ``scenario(port)`` against a front end on an ephemeral port.
 
-    Returns its result and the unhandled exceptions of connection
-    handlers, which the event loop's exception handler would log as
-    "Unhandled exception in client_connected_cb" with a traceback.
-    (Python 3.11 also reports a handler task that teardown cancels;
-    that is not a refusal's doing, so it is not collected.)
+    Returns its result and every error the event loop's exception
+    handler would log, such as "Unhandled exception in
+    client_connected_cb" from a connection handler, or "Exception in
+    callback" from a handler cancelled at teardown.
     """
     errors = []
 
     def collect(_loop, context):
-        if context.get("message", "").startswith("Unhandled exception"):
-            errors.append(context)
+        errors.append(context)
 
     async def wrapper():
         asyncio.get_running_loop().set_exception_handler(collect)
@@ -528,7 +528,80 @@ class TestFrontDoorLimits:
         assert errors == []
 
 
-def start_serve(tmp_path, **env_extra):
+class TestStop:
+    def test_stop_answers_in_flight_and_closes_idle_connections(
+        self, tmp_path
+    ):
+        """Stopping the front ends after a drain writes the answer still
+        in flight, closes the idle keep-alive HTTP and JSONL
+        connections, and leaves no connection handler pending (one left
+        open would be cancelled by the loop's teardown)."""
+        release = threading.Event()
+
+        def blocked_cold(req, budget):
+            assert release.wait(30), "cold job never released"
+            return {
+                "ok": True,
+                "payload": {"kind": "count", "result": "fake",
+                            "exactness": "exact", "points": [], "stats": {}},
+                "wall_ms": 1.0,
+                "attempts": 1,
+            }
+
+        async def scenario():
+            daemon = make_daemon(tmp_path)
+            daemon.start()
+            daemon._run_cold = blocked_cold
+            fronts = [
+                HttpFrontend(daemon, "127.0.0.1", 0),
+                JsonlFrontend(daemon, "127.0.0.1", 0),
+            ]
+            for front in fronts:
+                await front.start()
+            http_port, jsonl_port = (front.port for front in fronts)
+            idle_http = await asyncio.open_connection("127.0.0.1", http_port)
+            status, _ = await _http_request(*idle_http, "GET", "/healthz")
+            assert status == 200
+            idle_jsonl = await asyncio.open_connection("127.0.0.1", jsonl_port)
+            idle_jsonl[1].write((json.dumps(MALFORMED) + "\n").encode())
+            assert json.loads(await idle_jsonl[0].readline())["id"] == (
+                "bad-timeout"
+            )
+            busy = await asyncio.open_connection("127.0.0.1", http_port)
+            body = json.dumps(COUNT_IJ).encode()
+            busy[1].write(
+                b"POST /job HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body) + body
+            )
+            for _ in range(500):
+                if daemon._inflight:
+                    break
+                await asyncio.sleep(0.01)
+            for front in fronts:
+                front.server.close()
+            drain = asyncio.ensure_future(daemon.drain())
+            release.set()
+            await drain
+            await asyncio.wait_for(
+                asyncio.gather(*(front.stop() for front in fronts)), 10
+            )
+            pending = asyncio.all_tasks() - {asyncio.current_task()}
+            answer = await asyncio.wait_for(read_http_response(busy[0]), 10)
+            closed = [
+                await asyncio.wait_for(reader.read(), 10)
+                for reader, _ in (idle_http, idle_jsonl)
+            ]
+            for _, writer in (idle_http, idle_jsonl, busy):
+                writer.close()
+            return pending, answer, closed
+
+        pending, (status, doc), closed = asyncio.run(scenario())
+        assert pending == set()
+        assert status == 200 and doc["id"] == "pairs" and doc["ok"] is True
+        assert closed == [b"", b""]
+
+
+def start_serve(tmp_path, *args, **env_extra):
     """``python -m repro serve`` on an ephemeral port, logging to a pipe."""
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1", **env_extra)
     return subprocess.Popen(
@@ -541,6 +614,7 @@ def start_serve(tmp_path, **env_extra):
             "0",
             "--cache",
             str(tmp_path / "serve.sqlite"),
+            *args,
         ],
         stderr=subprocess.PIPE,
         cwd=str(tmp_path),
@@ -571,9 +645,41 @@ class TestServeProcess:
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup
                 proc.kill()
+            proc.stderr.close()
         assert code == 0
         assert "draining" in out
         assert "drained; 0 requests" in out
+
+    def test_idle_connections_do_not_hold_the_drain(self, tmp_path):
+        """An idle keep-alive HTTP connection and an idle JSONL
+        connection stay open across SIGTERM; the daemon still drains and
+        exits 0 at once.  (Since Python 3.12, ``Server.wait_closed``
+        waits for clients to hang up, so the front ends close idle
+        connections themselves.)"""
+        proc = start_serve(tmp_path, "--jsonl-port", "0")
+        try:
+            ready = proc.stderr.readline().decode()
+            http_port = int(ready.split("http://127.0.0.1:")[1].split(",")[0])
+            jsonl_port = int(ready.rsplit(":", 1)[1])
+            conn = http.client.HTTPConnection("127.0.0.1", http_port, timeout=60)
+            conn.request("POST", "/job", json.dumps(COUNT_IJ))
+            reply = conn.getresponse()
+            assert reply.status == 200 and json.loads(reply.read())["ok"]
+            with socket.create_connection(
+                ("127.0.0.1", jsonl_port), timeout=60
+            ) as sock, sock.makefile("rb") as lines:
+                sock.sendall((json.dumps(dict(COUNT_IJ, id="line")) + "\n").encode())
+                assert json.loads(lines.readline())["ok"] is True
+                proc.send_signal(signal.SIGTERM)
+                code = proc.wait(timeout=5)
+            conn.close()
+            out = proc.stderr.read().decode()
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup
+                proc.kill()
+            proc.stderr.close()
+        assert code == 0
+        assert "drained; 2 requests" in out
 
     def test_worker_timeout_does_not_drain_the_daemon(self, tmp_path):
         """Killing a timed-out cold worker must not signal the daemon:
@@ -603,6 +709,7 @@ class TestServeProcess:
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup
                 proc.kill()
+            proc.stderr.close()
         assert code == 0
         assert "drained; 2 requests" in out
 
@@ -627,4 +734,5 @@ class TestServeProcess:
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup
                 proc.kill()
+            proc.stderr.close()
         assert code == 0

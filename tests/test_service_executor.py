@@ -135,6 +135,23 @@ class TestRunJobs:
         assert outcomes[1]["attempts"] == 1
         assert outcomes[0]["ok"] is True and outcomes[2]["ok"] is True
 
+    def test_forked_worker_starts_with_an_empty_evalc_cache(self):
+        """A job's stats must not depend on what the parent process
+        served before: the forked worker compiles its own evaluator
+        instead of reusing the parent's."""
+        req = JobRequest(
+            "evaluate",
+            "1 <= i <= n and 3 | (i + n)",
+            over=["i"],
+            at=[{"n": 9}, {"n": 4}],
+        )
+        execute_request(req)  # leaves a compiled evaluator in this process
+        (outcome,) = run_jobs([req], workers=1)
+        assert outcome["ok"] is True
+        job_stats = outcome["payload"]["stats"]
+        assert job_stats["evalc_cache_hits"] == 0
+        assert job_stats["evalc_compiles"] == 1
+
     def test_warm_rerun_of_budget_limited_job_completes(self):
         # Budget units are satisfiability-cache *misses*.  A job too
         # hard for budget=1 cold must complete on a warm in-process
