@@ -14,7 +14,9 @@ thresholds arrive.  The serve daemon's worker threads share it.
 from repro.core import stats
 
 #: The built automata kept in memory, at most 256.
-RESIDENT = stats.BoundedLRU(256, "automaton_cache")
+RESIDENT = stats.BoundedLRU(
+    stats.CACHE_LIMITS["automaton_cache"], "automaton_cache"
+)
 
 
 def clear_automaton_cache() -> None:

@@ -40,8 +40,9 @@ identifier can occupy:
 is ``"\\x01"``; the namespaces are deliberately disjoint.)
 
 The memo gates the conjunct key on :func:`conjunct_fingerprint`, a
-name-free summary built from the same pass-one constraint descriptors
-without any refinement; equal keys always give equal fingerprints.
+name-free summary of the same pass-one constraint descriptors, read
+straight off the conjunct's rows and without any refinement; equal
+keys always give equal fingerprints.
 """
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -352,6 +353,23 @@ def _constraint_shape(c) -> str:
     return "a(%s,%s)" % (c.kind, shape)
 
 
+def _row_shape(row: Tuple[int, ...]) -> tuple:
+    """:func:`_constraint_shape` of a conjunct row, as ints.
+
+    ``(kind, sorted nonzero coefficients, constant)``, an EQ at the
+    smaller of its two orientations.  Two constraints get equal row
+    shapes exactly when they get equal string shapes: both record the
+    kind, the coefficient multiset and the constant, and each
+    orientation determines the other.
+    """
+    coeffs = sorted([cf for cf in row[2:] if cf])
+    shape = (row[0], tuple(coeffs), row[1])
+    if not row[0]:
+        return shape
+    negated = tuple([-cf for cf in reversed(coeffs)])
+    return min(shape, (row[0], negated, -row[1]))
+
+
 def _poly_marks(poly: Polynomial, marks: Dict[str, List[str]]) -> None:
     """Role marks recording how each variable occurs in the summand.
 
@@ -472,16 +490,16 @@ def conjunct_fingerprint(
     sorted pass-one constraint descriptors and the sorted summand
     coefficients.  Each part can be read off the key, so equal keys
     give equal fingerprints; the converse fails (the fingerprint
-    forgets which variables co-occur).  It costs one mask per
-    constraint and no refinement, which makes it the answer memo's
-    gate: a node whose fingerprint has never been seen cannot have a
-    stored key.
+    forgets which variables co-occur).  It reads each row once
+    (:func:`_row_shape`), builds no constraint view and runs no
+    refinement, which makes it the answer memo's gate: a node whose
+    fingerprint has never been seen cannot have a stored key.
     """
     return (
         mode,
         len(cvars),
         len(conj.wildcards),
-        tuple(sorted(_constraint_shape(c) for c in conj.constraints)),
+        tuple(sorted([_row_shape(row) for row in conj._rows])),
         # Integer pairs, not Fractions: they hash and compare in C,
         # which keeps the memo's locked operations short.
         tuple(

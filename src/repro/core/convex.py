@@ -19,11 +19,18 @@ P.  The algorithm follows the paper:
 Strides pinning a summation variable to residue classes are cleared by
 residue enumeration (v = M·v' + r), the move the paper makes in
 Example 6 ("splinter by considering 3j as even or odd").
+
+The recursion reads a conjunct's rows (:mod:`repro.omega.kernels`):
+the kind slot and a variable's column pick the variable, find its
+strides and split its bounds, and each child conjunct is built from
+rows in the parent's row order.  A ``Constraint`` is materialized only
+where one leaves the recursion or an Omega step takes one.
 """
 
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from repro.omega import kernels
 from repro.omega.affine import Affine
 from repro.omega.constraints import Constraint, fresh_var
 from repro.omega.equalities import (
@@ -166,17 +173,16 @@ def _sum_inner(
 
     # -- 4. pick a summation variable ----------------------------------------
     v = _pick_variable(conj, cvars, z)
-
-    # -- strides on v: residue enumeration -----------------------------------
-    strides = [
-        c
-        for c in conj.constraints
-        if c.is_eq() and c.uses(v)
-    ]
-    if strides:
-        return _residue_split(conj, cvars, z, ctx, v, strides)
-
-    lowers, uppers, rest = conj.bounds_on(v)
+    index, rows = conj._index, conj._rows
+    col = conj._positions().get(v)
+    if col is None:
+        lowers, uppers, rest = [], [], list(rows)
+    else:
+        # -- strides on v: residue enumeration -------------------------------
+        strides = [row for row in rows if row[0] and row[col]]
+        if strides:
+            return _residue_split(conj, cvars, z, ctx, v, strides)
+        lowers, uppers, rest = kernels.bounds_split(rows, col)
     if not lowers or not uppers:
         raise UnboundedSumError(
             "variable %s is unbounded %s" % (v, "below" if not lowers else "above")
@@ -184,20 +190,24 @@ def _sum_inner(
 
     # -- 5. multiple-bound splits ---------------------------------------------
     if len(uppers) > 1:
-        return _split_bounds(conj, cvars, z, ctx, v, lowers, uppers, rest, True)
+        return _split_bounds(conj, cvars, z, ctx, col, lowers, uppers, rest, True)
     if len(lowers) > 1:
-        return _split_bounds(conj, cvars, z, ctx, v, lowers, uppers, rest, False)
+        return _split_bounds(conj, cvars, z, ctx, col, lowers, uppers, rest, False)
 
     # -- 6. single pair ----------------------------------------------------------
-    (b, beta), (a, alpha) = lowers[0], uppers[0]
     remaining = tuple(x for x in cvars if x != v)
+    b, beta = kernels.bound_from_row(index, lowers[0], col)
+    a, alpha = kernels.bound_from_row(index, uppers[0], col)
     if a == 1 and b == 1:
         z2 = sum_over_range(z, v, beta.to_polynomial(), alpha.to_polynomial())
-        guard = Constraint.leq(beta, alpha)
-        conj2 = Conjunct(list(rest) + [guard], conj.wildcards)
+        # beta <= alpha is the sum of the two rows: v's column cancels.
+        guard = tuple([x + y for x, y in zip(lowers[0], uppers[0])])
+        rest.append(guard)
+        conj2 = Conjunct._from_rows(index, rest, conj.wildcards)
         return _sum(conj2, remaining, z2, ctx)
+    rest_cons = [kernels.constraint_from_row(index, row) for row in rest]
     return _rational_sum(
-        conj, remaining, z, ctx, v, b, beta, a, alpha, rest
+        conj, remaining, z, ctx, v, b, beta, a, alpha, rest_cons
     )
 
 
@@ -210,7 +220,11 @@ def _eliminate_one_equality(
     conj: Conjunct, cvars: Tuple[str, ...], z: Polynomial, ctx: _Ctx
 ) -> Optional[List[Term]]:
     cset = set(cvars)
-    for eq in conj.eqs():
+    index = conj._index
+    for row in conj._rows:
+        if not row[0]:
+            continue
+        eq = kernels.constraint_from_row(index, row)
         eq_wilds = [w for w in eq.variables() if w in conj.wildcards]
         eq_cvars = [x for x in eq.variables() if x in cset]
         if eq_wilds:
@@ -264,11 +278,12 @@ def _eliminate_one_wildcard(
 ) -> Optional[List[Term]]:
     cset = set(cvars)
     target = None
+    pos = conj._positions()
     for w in sorted(conj.wildcards):
         if conj.is_stride_wildcard(w):
             continue
-        hits = conj.constraints_on(w)
-        if any(c.is_eq() for c in hits):
+        j = pos[w]
+        if any(row[0] and row[j] for row in conj._rows):
             continue  # the equality phase owns it
         if _wildcard_touches(conj, w, cset):
             target = w
@@ -288,13 +303,19 @@ def _eliminate_one_wildcard(
 
 def _wildcard_touches(conj: Conjunct, w: str, cset) -> bool:
     """Does w's constraint cluster reach a summation variable?"""
+    index, pos = conj._index, conj._positions()
     frontier = {w}
     seen = set()
     while frontier:
         var = frontier.pop()
         seen.add(var)
-        for c in conj.constraints_on(var):
-            for other in c.variables():
+        j = pos[var]
+        for row in conj._rows:
+            if not row[j]:
+                continue
+            for other, cf in zip(index, row[2:]):
+                if not cf:
+                    continue
                 if other in cset:
                     return True
                 if other in conj.wildcards and other not in seen:
@@ -310,19 +331,22 @@ def _wildcard_touches(conj: Conjunct, w: str, cset) -> bool:
 def _pick_variable(
     conj: Conjunct, cvars: Tuple[str, ...], z: Polynomial
 ) -> str:
+    pos, rows = conj._positions(), conj._rows
     best, best_key = None, None
     for v in cvars:
-        n_strides = sum(
-            1 for c in conj.constraints if c.is_eq() and c.uses(v)
-        )
-        lowers = uppers = 0
+        n_strides = lowers = uppers = 0
         unit = True
-        for c in conj.geqs():
-            k = c.coeff(v)
-            if k > 0:
+        col = pos.get(v)
+        for row in rows if col is not None else ():
+            k = row[col]
+            if not k:
+                continue
+            if row[0]:
+                n_strides += 1
+            elif k > 0:
                 lowers += 1
                 unit = unit and k == 1
-            elif k < 0:
+            else:
                 uppers += 1
                 unit = unit and k == -1
         key = (
@@ -348,18 +372,28 @@ def _residue_split(
     z: Polynomial,
     ctx: _Ctx,
     v: str,
-    strides: List[Constraint],
+    strides: List[Tuple[int, ...]],
 ) -> List[Term]:
+    """Enumerate v's residues modulo the lcm of its stride rows' moduli."""
     from repro.intarith import lcm_list
 
+    index = conj._index
     moduli = []
-    for c in strides:
-        wild = next(
-            (x for x in c.variables() if x in conj.wildcards), None
+    for row in strides:
+        modulus = next(
+            (
+                abs(cf)
+                for name, cf in zip(index, row[2:])
+                if cf and name in conj.wildcards
+            ),
+            None,
         )
-        if wild is None:
-            raise AssertionError("stride without wildcard: %s" % c)
-        moduli.append(abs(c.coeff(wild)))
+        if modulus is None:
+            raise AssertionError(
+                "stride without wildcard: %s"
+                % kernels.constraint_from_row(index, row)
+            )
+        moduli.append(modulus)
     modulus = lcm_list(moduli)
     if modulus > ctx.opts.max_residue_split:
         raise UnboundedSumError(
@@ -390,40 +424,36 @@ def _split_bounds(
     cvars: Tuple[str, ...],
     z: Polynomial,
     ctx: _Ctx,
-    v: str,
+    col: int,
     lowers,
     uppers,
     rest,
     split_uppers: bool,
 ) -> List[Term]:
+    """One piece per bound of the split side, on rows.
+
+    Piece ``i`` keeps ``rest``, every bound of the other side and
+    bound ``i``, and orders bound ``i`` against each other bound ``j``
+    of its side: with ``c`` the magnitude of a row's coefficient on
+    the column, ``c_i·row_j - c_j·row_i >= 0`` (the column cancels)
+    says bound ``i`` is the tightest, strictly (constant minus one)
+    against the bounds before it.
+    """
     bounds = uppers if split_uppers else lowers
     keep = lowers if split_uppers else uppers
     out: List[Term] = []
-    for i, (ci, ei) in enumerate(bounds):
-        cons = list(rest)
-        for b, beta in (keep if split_uppers else []):
-            cons.append(Constraint.leq(beta, Affine({v: b})))
-        for a, alpha in ([] if split_uppers else keep):
-            cons.append(Constraint.leq(Affine({v: a}), alpha))
-        if split_uppers:
-            cons.append(Constraint.leq(Affine({v: ci}), ei))
-        else:
-            cons.append(Constraint.leq(ei, Affine({v: ci})))
-        for j, (cj, ej) in enumerate(bounds):
+    for i, row_i in enumerate(bounds):
+        ci = abs(row_i[col])
+        rows = rest + keep + [row_i]
+        for j, row_j in enumerate(bounds):
             if j == i:
                 continue
-            if split_uppers:
-                # piece i: bound i is the rational minimum
-                # ei/ci < ej/cj for j < i ; ei/ci <= ej/cj for j > i
-                lhs, rhs = ei * cj, ej * ci
-            else:
-                # piece i: bound i is the rational maximum
-                lhs, rhs = ej * ci, ei * cj
+            cj = abs(row_j[col])
+            order = [ci * x - cj * y for x, y in zip(row_j, row_i)]
             if j < i:
-                cons.append(Constraint.leq(lhs + 1, rhs))
-            else:
-                cons.append(Constraint.leq(lhs, rhs))
-        piece = Conjunct(cons, conj.wildcards)
+                order[1] -= 1
+            rows.append(tuple(order))
+        piece = Conjunct._from_rows(conj._index, rows, conj.wildcards)
         out.extend(_sum(piece, cvars, z, ctx))
     return out
 

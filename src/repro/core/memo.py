@@ -24,8 +24,9 @@ cost about a third of a nest round, so lookups are gated:
   wildcard counts, masked constraint shapes, summand coefficients).
   Equal keys give equal fingerprints, so a fingerprint never seen
   before cannot match a stored key: the lookup counts a miss, and the
-  computed answer is kept *raw* under the fingerprint (constraint
-  tuples and a private copy of the answer -- no key, no renaming).
+  computed answer is kept *raw* under the fingerprint (the node's and
+  the answer's row blocks and a private copy of the summands -- no
+  key, no renaming, no constraint view).
   The next lookup with that fingerprint first keys its pending raw
   nodes into the table, then takes the keyed path itself (key, fetch,
   store).  Below the capacity, hits and misses are exactly those of
@@ -85,7 +86,7 @@ from repro.qpoly import Polynomial
 
 #: Default in-memory capacity (items: keyed answers, keyed pieces and
 #: fingerprint records together).
-DEFAULT_CAPACITY = 50000
+DEFAULT_CAPACITY = stats.CACHE_LIMITS["answer_memo"]
 
 #: Bump when the persisted payload layout changes.
 ANSWER_DB_SCHEMA = 1
@@ -209,27 +210,34 @@ def _rename_back(payload: Sequence, back: Dict[str, str], flags) -> list:
     return _rename(payload, mapping, flags)
 
 
+def _block(conj: Conjunct) -> tuple:
+    """A conjunct's row block: ``(index, rows, wildcards)``.
+
+    Pending nodes keep blocks rather than the Conjuncts themselves,
+    which would pin their normalize chains and constraint views.
+    """
+    return conj._index, conj._rows, conj.wildcards
+
+
 def _raw_copy(payload: Sequence, flags) -> tuple:
     """A lean private copy of a computed payload for a pending node.
 
-    Constraint tuples rather than the Conjuncts themselves, which
-    carry normalize and row caches; a copied coefficient dict because
+    Row blocks, and a copied coefficient dict because
     ``Polynomial.terms`` is exposed to callers.
     """
     if flags is None:
-        return tuple((p.constraints, p.wildcards) for p in payload)
+        return tuple(_block(p) for p in payload)
     return tuple(
-        (t.guard.constraints, t.guard.wildcards, dict(t.value.terms))
-        for t in payload
+        (_block(t.guard), dict(t.value.terms)) for t in payload
     )
 
 
 def _from_raw(raw: tuple, flags) -> list:
     if flags is None:
-        return [Conjunct(cons, wilds) for cons, wilds in raw]
+        return [Conjunct._make(*block) for block in raw]
     return [
-        Term(Conjunct(cons, wilds), Polynomial(terms))
-        for cons, wilds, terms in raw
+        Term(Conjunct._make(*block), Polynomial._make(dict(terms)))
+        for block, terms in raw
     ]
 
 
@@ -332,13 +340,7 @@ def lookup(
         # Snapshot the summand's terms: Polynomial.terms is exposed,
         # and a caller mutating its summand later must not change
         # the node this answer is keyed under.
-        node = (
-            conj.constraints,
-            conj.wildcards,
-            tuple(cvars),
-            tuple(poly.terms.items()),
-            mode,
-        )
+        node = (_block(conj), tuple(cvars), tuple(poly.terms.items()), mode)
         return None, (fp, node, None)
     _MEMO.put(fp, [])
     for node in pending or ():
@@ -373,10 +375,10 @@ def remember(ticket, payload: Sequence, flags=None) -> None:
         _MEMO.put(fp, [raw])
 
 
-def _promote(constraints, wildcards, cvars, terms, mode, raw, flags) -> None:
+def _promote(block, cvars, terms, mode, raw, flags) -> None:
     """Key a pending raw node and store it as :func:`remember` would."""
     key, names, _ = canonical_conjunct_key(
-        Conjunct(constraints, wildcards), cvars, Polynomial(dict(terms)), mode
+        Conjunct._make(*block), cvars, Polynomial._make(dict(terms)), mode
     )
     _store(key, names, _from_raw(raw, flags), flags, False)
 

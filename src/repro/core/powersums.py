@@ -8,6 +8,14 @@ using the Faulhaber telescoping identity
 which replaces the paper's four-piece decomposition (implemented in
 :mod:`repro.core.basic` and tested equal).  The result is valid exactly
 when L <= U; the caller must guard with that constraint.
+
+With ``z = Σ_p a_p·v**p`` and ``F_p(x) = Σ_k c_{p,k}·x**k`` the sum is
+regrouped by powers of the bounds,
+
+    Σ_k B_k·(U**k - (L-1)**k)      with   B_k = Σ_p c_{p,k}·a_p,
+
+so each power of each bound is built once: O(degree) polynomial
+products instead of one Faulhaber expansion per power of ``v``.
 """
 
 from fractions import Fraction
@@ -39,14 +47,19 @@ def sum_over_range(
     integers on the guarded domain; the result is exact whenever
     lower <= upper holds and both bounds are integral there.
     """
-    by_power: Dict[int, Polynomial] = z.coefficients_in(var)
+    weights: Dict[int, Polynomial] = {}
+    for p, coeff in z.coefficients_in(var).items():
+        for k, c in enumerate(faulhaber_coefficients(p)):
+            if c:
+                weights[k] = weights.get(k, Polynomial.zero) + coeff * c
     total = Polynomial()
     lower_minus_1 = lower - 1
-    for p, coeff in by_power.items():
-        piece = faulhaber_polynomial(p, upper) - faulhaber_polynomial(
-            p, lower_minus_1
-        )
-        total = total + coeff * piece
+    upper_k = lower_k = Polynomial.one
+    for k in range(1, max(weights, default=0) + 1):
+        upper_k = upper_k * upper
+        lower_k = lower_k * lower_minus_1
+        if k in weights:
+            total = total + weights[k] * (upper_k - lower_k)
     return total
 
 

@@ -110,8 +110,10 @@ _budget_used = 0
 #: zero-argument callable here and :func:`engine_snapshot` includes its
 #: return value under a ``"serve"`` key -- uptime, queue depth,
 #: coalesce/shed counters and per-tier latency quantiles.  ``None``
-#: (the default, and the state in every batch worker process) adds
-#: nothing, so snapshots taken outside a daemon are unchanged.
+#: (the default) adds nothing, so snapshots taken outside a daemon are
+#: unchanged.  A forked executor worker inherits the daemon's provider
+#: and clears it before its job, so a job's ``stats`` never carries a
+#: copy of the daemon's metrics.
 _SERVE_PROVIDER = None
 
 
@@ -201,6 +203,19 @@ def stats_snapshot() -> Dict[str, int]:
 
 #: The process-wide caches, by name (see :class:`BoundedLRU`).
 _CACHES: Dict[str, "BoundedLRU"] = {}
+
+#: The four process-wide caches and the limit each starts at; their
+#: modules create them with these limits.  Every snapshot reports all
+#: four, whatever the process imported: the evalc and automaton
+#: packages load on first use (a cold job must not pay to import
+#: them), and a cache whose module is not loaded yet is reported
+#: empty at its starting limit.
+CACHE_LIMITS = {
+    "sat_cache": 200000,
+    "answer_memo": 50000,
+    "evalc_cache": 128,
+    "automaton_cache": 256,
+}
 
 
 class BoundedLRU:
@@ -303,10 +318,14 @@ def engine_snapshot() -> Dict[str, Union[int, float]]:
     The one introspection entry point behind the CLI's ``--stats``,
     every service response's ``stats`` block and the daemon's
     ``/stats``: :func:`stats_snapshot` plus ``<name>_size`` and
-    ``<name>_limit`` of each registered :class:`BoundedLRU` (a cache
-    whose module this process never imported is not reported).
+    ``<name>_limit`` of each :data:`CACHE_LIMITS` cache (empty at its
+    starting limit until its module is imported) and of any other
+    registered :class:`BoundedLRU`.
     """
     snap = stats_snapshot()
+    for name, limit in CACHE_LIMITS.items():
+        snap[name + "_size"] = 0
+        snap[name + "_limit"] = limit
     for name, cache in list(_CACHES.items()):
         snap[name + "_size"] = len(cache)
         snap[name + "_limit"] = cache.limit

@@ -54,7 +54,7 @@ from repro.evalc.lower import (
 _COMPILE_ENABLED = True
 
 #: Bounded LRU of compiled artifacts.
-_CACHE_LIMIT = 128
+_CACHE_LIMIT = stats.CACHE_LIMITS["evalc_cache"]
 _CACHE = stats.BoundedLRU(_CACHE_LIMIT, "evalc_cache")
 
 #: Residue classes beyond this make a table plan cost more to build

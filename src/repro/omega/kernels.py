@@ -291,6 +291,27 @@ def bounds_split(
     return lowers, uppers, rest
 
 
+def bound_from_row(
+    index: Tuple[str, ...], row: Tuple[int, ...], col: int
+) -> Tuple[int, Affine]:
+    """A row that bounds column ``col``, as ``(k, e)`` with k > 0.
+
+    A positive coefficient reads as the lower bound ``e <= k·var``, a
+    negative one as the upper bound ``k·var <= e``; ``e`` is the rest
+    of the row, negated for a lower bound.
+    """
+    k = row[col]
+    sign = -1 if k > 0 else 1
+    items = tuple(
+        [
+            (index[j - 2], sign * row[j])
+            for j in range(2, len(row))
+            if row[j] and j != col
+        ]
+    )
+    return abs(k), Affine._from_sorted(items, sign * row[1])
+
+
 def bounds_profiles(
     rows: Sequence[Tuple[int, ...]], width: int
 ) -> List[Tuple[int, int, bool, bool]]:
@@ -369,6 +390,7 @@ __all__ = [
     "EQ_ROW",
     "GEQ_ROW",
     "bounds_profiles",
+    "bound_from_row",
     "bounds_split",
     "compact",
     "constraint_from_row",

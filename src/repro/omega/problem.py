@@ -609,48 +609,25 @@ class Conjunct:
         ``(b, β)`` meaning β <= b·var (b > 0), ``uppers`` a list of
         ``(a, α)`` meaning a·var <= α (a > 0), and ``rest`` the
         constraints not mentioning ``var``.  Equalities mentioning
-        ``var`` are a caller error (eliminate them first).  Classifies
-        on the rows (one int load per row) and builds bound
-        expressions only for the rows that bound ``var``.
+        ``var`` are a caller error (eliminate them first).  The split
+        is :func:`repro.omega.kernels.bounds_split` on the rows; bound
+        expressions and ``rest`` are built from the rows it returns.
         """
-        index, rows = self._index, self._rows
         col = self._positions().get(var)
         if col is None:
             return [], [], list(self.constraints)
-        lowers: List[Tuple[int, Affine]] = []
-        uppers: List[Tuple[int, Affine]] = []
-        rest: List[Constraint] = []
-        for i, row in enumerate(rows):
-            k = row[col]
-            if k == 0:
-                rest.append(self.constraints[i])
-                continue
-            if row[0]:
-                raise ValueError(
-                    "bounds_on(%s): equality %s not eliminated"
-                    % (var, self.constraints[i])
-                )
-            if k > 0:  # beta <= k·var with beta = -(row minus the column)
-                beta = Affine._from_sorted(
-                    tuple(
-                        (index[j - 2], -row[j])
-                        for j in range(2, len(row))
-                        if row[j] and j != col
-                    ),
-                    -row[1],
-                )
-                lowers.append((k, beta))
-            else:  # |k|·var <= alpha with alpha = row minus the column
-                alpha = Affine._from_sorted(
-                    tuple(
-                        (index[j - 2], row[j])
-                        for j in range(2, len(row))
-                        if row[j] and j != col
-                    ),
-                    row[1],
-                )
-                uppers.append((-k, alpha))
-        return lowers, uppers, rest
+        index = self._index
+        try:
+            lowers, uppers, rest = kernels.bounds_split(self._rows, col)
+        except ValueError:
+            raise ValueError(
+                "bounds_on(%s): an equality on it is not eliminated" % var
+            ) from None
+        return (
+            [kernels.bound_from_row(index, row, col) for row in lowers],
+            [kernels.bound_from_row(index, row, col) for row in uppers],
+            [kernels.constraint_from_row(index, row) for row in rest],
+        )
 
     def bounds_profiles(self) -> Dict[str, Tuple[int, int, bool, bool]]:
         """Bound profile of every variable in one pass.

@@ -12,6 +12,7 @@ constraint c is redundant in P iff P∖{c} ∧ ¬c has no integer solution.
 from typing import Iterable, List, Optional
 
 from repro.core import stats
+from repro.omega import kernels
 from repro.omega.constraints import Constraint
 from repro.omega.problem import Conjunct
 from repro.omega.satisfiability import satisfiable
@@ -52,15 +53,17 @@ def remove_redundant(
     if not satisfiable(combined):
         return Conjunct.false()
     # Try to drop the syntactically largest constraints first so the
-    # kept set stays simple.
+    # kept set stays simple.  The candidates are GEQ rows, ordered by
+    # their number of variables and constant; each is tested once,
+    # against what is left, and built as a Constraint only for that.
+    index = conj._index
     order = sorted(
-        (c for c in conj.constraints if c.is_geq()),
-        key=lambda c: (-len(c.expr.coeffs), c.expr.const),
+        (row for row in conj._rows if not row[0]),
+        key=lambda row: (row[2:].count(0) - len(row), row[1]),
     )
     current = conj
-    for c in order:
-        if c not in current.constraints:
-            continue
+    for row in order:
+        c = kernels.constraint_from_row(index, row)
         if constraint_redundant(current, c, context):
             current = current.without_constraints([c])
     return current

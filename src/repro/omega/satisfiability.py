@@ -41,7 +41,7 @@ class SatBlowupError(RuntimeError):
 #: constant-factor win.  A bounded LRU (dropping the whole cache at
 #: once made long evaluations lose their working set at a cliff), keyed
 #: by :func:`_cache_key` and shared by the daemon's cold thread pool.
-_SAT_CACHE = stats.BoundedLRU(200000, "sat_cache")
+_SAT_CACHE = stats.BoundedLRU(stats.CACHE_LIMITS["sat_cache"], "sat_cache")
 
 
 def _cache_key(conj: Conjunct) -> tuple:

@@ -7,6 +7,15 @@ arithmetic is exact (``fractions.Fraction``).
 
 These are the values the summation engine manipulates: the summand of
 ``(Σ v : P : z)`` and the per-piece values of the final answer.
+
+The public constructor normalizes what it is given: every coefficient
+goes through ``Fraction`` and every monomial is sorted and merged.
+Arithmetic results skip that step: their terms are normalized by
+construction, so :meth:`Polynomial._make` adopts them as they are
+(the idiom of ``Conjunct._make`` and ``Affine._from_sorted``).  Sums
+and differences merge the two term dicts, a product by an ``int`` or
+``Fraction`` scales the coefficients, and a monomial product with a
+constant side skips the sort.
 """
 
 from fractions import Fraction
@@ -16,6 +25,8 @@ from repro.qpoly.atoms import Atom, ModAtom, atom_sort_key, evaluate_atom
 
 Monomial = Tuple[Tuple[Atom, int], ...]
 Scalar = Union[int, Fraction]
+
+_set = object.__setattr__
 
 
 def _normalize_monomial(pairs: Iterable[Tuple[Atom, int]]) -> Monomial:
@@ -46,7 +57,7 @@ class Polynomial:
                     clean[mono] = clean.get(mono, Fraction(0)) + coef
                     if not clean[mono]:
                         del clean[mono]
-        object.__setattr__(self, "terms", clean)
+        _set(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -54,29 +65,41 @@ class Polynomial:
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _make(cls, terms: Dict[Monomial, Fraction]) -> "Polynomial":
+        """A polynomial that adopts ``terms`` as they are.
+
+        Every monomial is normalized and distinct and every coefficient
+        is a nonzero ``Fraction``; the dict becomes the new polynomial's
+        own, so the caller must not keep using it.
+        """
+        poly = object.__new__(cls)
+        _set(poly, "terms", terms)
+        return poly
+
+    @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
         value = Fraction(value)
-        return cls({(): value} if value else {})
+        return cls._make({(): value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls({((name, 1),): Fraction(1)})
+        return cls._make({((name, 1),): Fraction(1)})
 
     @classmethod
     def atom(cls, atom: Atom) -> "Polynomial":
-        return cls({((atom, 1),): Fraction(1)})
+        return cls._make({((atom, 1),): Fraction(1)})
 
     @classmethod
     def from_affine(
         cls, coeffs: Mapping[str, Scalar], const: Scalar = 0
     ) -> "Polynomial":
-        terms: Dict[Monomial, Scalar] = {}
+        terms: Dict[Monomial, Fraction] = {}
         for var, c in coeffs.items():
             if c:
                 terms[((var, 1),)] = Fraction(c)
         if const:
             terms[()] = Fraction(const)
-        return cls(terms)
+        return cls._make(terms)
 
     zero = None  # populated after class definition
     one = None
@@ -139,39 +162,64 @@ class Polynomial:
             return Polynomial.constant(other)
         return NotImplemented
 
-    def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
+    def _merge(self, other, sign: int) -> "Polynomial":
+        """``self + sign·other`` by merging the two term dicts."""
+        if isinstance(other, Polynomial):
+            add = other.terms
+        elif isinstance(other, (int, Fraction)):
+            add = {(): Fraction(other)} if other else {}
+        else:
             return NotImplemented
         terms = dict(self.terms)
-        for mono, coef in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coef
-        return Polynomial(terms)
+        for mono, coef in add.items():
+            if sign < 0:
+                coef = -coef
+            total = terms.get(mono)
+            if total is None:
+                terms[mono] = coef
+                continue
+            total += coef
+            if total:
+                terms[mono] = total
+            else:
+                del terms[mono]
+        return Polynomial._make(terms)
+
+    def __add__(self, other) -> "Polynomial":
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return Polynomial._make({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return Polynomial._make({})
+            return Polynomial._make(
+                {m: c * other for m, c in self.terms.items()}
+            )
+        if not isinstance(other, Polynomial):
             return NotImplemented
         terms: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _normalize_monomial(m1 + m2)
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return Polynomial(terms)
+                if not m2:
+                    mono = m1
+                elif not m1:
+                    mono = m2
+                else:
+                    mono = _normalize_monomial(m1 + m2)
+                total = terms.get(mono)
+                terms[mono] = c1 * c2 if total is None else total + c1 * c2
+        return Polynomial._make({m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -179,7 +227,7 @@ class Polynomial:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         inv = Fraction(1, 1) / Fraction(scalar)
-        return Polynomial({m: c * inv for m, c in self.terms.items()})
+        return Polynomial._make({m: c * inv for m, c in self.terms.items()})
 
     def __pow__(self, exp: int) -> "Polynomial":
         if exp < 0:
@@ -226,7 +274,7 @@ class Polynomial:
                 else:
                     rest.append((atom, e))
             out.setdefault(exp, {})[tuple(rest)] = coef
-        return {e: Polynomial(t) for e, t in out.items()}
+        return {e: Polynomial._make(t) for e, t in out.items()}
 
     def substitute(self, var: str, replacement: "Polynomial") -> "Polynomial":
         """Substitute a polynomial for a plain-variable atom.
@@ -237,7 +285,7 @@ class Polynomial:
         """
         result = Polynomial()
         for mono, coef in self.terms.items():
-            piece = Polynomial({(): coef})
+            piece = Polynomial._make({(): coef})
             for atom, exp in mono:
                 if atom == var:
                     piece = piece * replacement ** exp
@@ -264,7 +312,7 @@ class Polynomial:
                     new_mono.append((atom.rename(mapping), exp))
             mono2 = _normalize_monomial(new_mono)
             terms[mono2] = terms.get(mono2, Fraction(0)) + coef
-        return Polynomial(terms)
+        return Polynomial._make({m: c for m, c in terms.items() if c})
 
     def as_integer_affine(self) -> Tuple[Dict[str, int], int]:
         """Decompose as an integer affine expression of plain variables.

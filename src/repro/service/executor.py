@@ -317,6 +317,9 @@ def _worker_main(req_json: dict, conn, budget: Optional[int]) -> None:
     # deliberately survives: that is how warm batch runs answer clauses
     # from disk.
     stats.clear_caches()
+    # Nor may it report the daemon's serving metrics as its own: the
+    # provider it inherited snapshots the daemon as it was at the fork.
+    stats.set_serve_stats_provider(None)
     # A forked worker also inherits the daemon's fresh-name counter;
     # restart it so the wildcard names a simplify answer prints do
     # not depend on what the daemon parsed before.

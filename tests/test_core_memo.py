@@ -14,7 +14,12 @@ import threading
 from hypothesis import given, settings, strategies as st
 
 from repro.core import count, memo, stats, sum_poly
-from repro.core.canon import canonical_conjunct_key, conjunct_fingerprint
+from repro.core.canon import (
+    _constraint_shape,
+    _row_shape,
+    canonical_conjunct_key,
+    conjunct_fingerprint,
+)
 from repro.core.memo import (
     answer_memo_enabled,
     answer_memo_info,
@@ -457,6 +462,40 @@ class TestFingerprintProperty:
         for candidate in (variant, other):
             if canonical_conjunct_key(*candidate, mode)[0] == key:
                 assert conjunct_fingerprint(*candidate, mode) == fp
+
+
+_constraints = st.builds(
+    lambda eq, coeffs, const: (Constraint.eq if eq else Constraint.geq)(
+        Affine(dict(zip(_VARS, coeffs)), const)
+    ),
+    st.booleans(),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    st.integers(-4, 4),
+)
+
+
+class TestRowShape:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        first=_constraints,
+        second=_constraints,
+        names=st.permutations(_VARS),
+    )
+    def test_row_shapes_partition_like_string_shapes(
+        self, first, second, names
+    ):
+        """The fingerprint's row shape is an exact re-encoding of the
+        masked string shape the canonical key uses.  A renamed copy
+        (which can flip an EQ's stored sign) shares both shapes."""
+        renamed = first.rename(dict(zip(_VARS, names)))
+        for other in (second, renamed):
+            a, b = Conjunct([first]), Conjunct([other])
+            same_rows = _row_shape(a._rows[0]) == _row_shape(b._rows[0])
+            same_text = _constraint_shape(
+                a.constraints[0]
+            ) == _constraint_shape(b.constraints[0])
+            assert same_rows == same_text
+        assert same_rows
 
 
 _NAMES = ("n", "m", "N", "len", "stride")

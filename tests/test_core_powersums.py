@@ -11,7 +11,7 @@ from repro.core.powersums import (
     power_sum,
     sum_over_range,
 )
-from repro.qpoly import Polynomial
+from repro.qpoly import ModAtom, Polynomial
 
 
 class TestFaulhaberPolynomial:
@@ -70,6 +70,41 @@ class TestSumOverRange:
         total = sum_over_range(z, "v", lower, upper)
         for n in range(3, 30, 3):  # only where upper is integral
             assert total.evaluate({"n": n}) == n // 3
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+        st.sampled_from(["n", "m", "mod"]),
+        st.sampled_from(
+            [
+                (Polynomial.one, Polynomial.variable("n")),
+                (Polynomial.variable("m") + 2, Polynomial.variable("n") * 2),
+                (
+                    Polynomial.variable("n") * Fraction(1, 3),
+                    Polynomial.variable("m") - Polynomial.variable("n"),
+                ),
+            ]
+        ),
+    )
+    @settings(max_examples=60)
+    def test_matches_the_per_power_faulhaber_form(self, coeffs, symbol, bounds):
+        """Regrouping by powers of the bounds gives exactly the sum of
+        ``a_p·(F_p(U) - F_p(L-1))`` over the powers ``p`` of ``v``."""
+        v = Polynomial.variable("v")
+        if symbol == "mod":
+            factor = Polynomial.atom(ModAtom({"n": 1}, 0, 2))
+        else:
+            factor = Polynomial.variable(symbol)
+        z = Polynomial.zero
+        for p, c in enumerate(coeffs):
+            z = z + v ** p * factor ** (p % 2) * c
+        lower, upper = bounds
+        want = Polynomial.zero
+        for p, a in z.coefficients_in("v").items():
+            want = want + a * (
+                faulhaber_polynomial(p, upper)
+                - faulhaber_polynomial(p, lower - 1)
+            )
+        assert sum_over_range(z, "v", lower, upper).terms == want.terms
 
     def test_count_range(self):
         c = count_range(Polynomial.variable("a"), Polynomial.variable("b"))

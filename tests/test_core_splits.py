@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import count
 from repro.core.convex import _Ctx, _residue_split, _split_bounds, _sum
 from repro.core.options import DEFAULT_OPTIONS
+from repro.omega import kernels
 from repro.omega.affine import Affine
 from repro.omega.constraints import Constraint
 from repro.omega.problem import Conjunct
@@ -25,7 +26,8 @@ def geq(coeffs, const=0):
 
 class TestMultiBoundSplitPartition:
     def _pieces(self, conj, v, split_uppers):
-        lowers, uppers, rest = conj.bounds_on(v)
+        col = conj._positions()[v]
+        lowers, uppers, rest = kernels.bounds_split(conj._rows, col)
         captured = []
 
         import repro.core.convex as cx
@@ -39,7 +41,7 @@ class TestMultiBoundSplitPartition:
         cx._sum = capture
         try:
             _split_bounds(
-                conj, (v,), Polynomial.one, _Ctx(DEFAULT_OPTIONS), v,
+                conj, (v,), Polynomial.one, _Ctx(DEFAULT_OPTIONS), col,
                 lowers, uppers, rest, split_uppers,
             )
         finally:

@@ -1,8 +1,10 @@
 """The observability layer (repro.core.stats)."""
 
+import json
 import os
 import random
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -11,6 +13,8 @@ from fractions import Fraction
 import pytest
 
 from repro.core import count, stats
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 @pytest.fixture(autouse=True)
@@ -186,6 +190,28 @@ class TestBoundedLRU:
             lru.put("b", 2)
         assert not any(counters.values())
         assert stats._CACHES == {}
+
+    def test_snapshot_reports_all_four_without_importing_them(self):
+        script = (
+            "import json, sys\n"
+            "from repro.core import stats\n"
+            "snap = stats.engine_snapshot()\n"
+            "print(json.dumps({'snap': snap, 'loaded': sorted(m for m in "
+            "('repro.automaton', 'repro.evalc') if m in sys.modules)}))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        assert doc["loaded"] == []
+        for name, limit in stats.CACHE_LIMITS.items():
+            assert doc["snap"][name + "_size"] == 0
+            assert doc["snap"][name + "_limit"] == limit
 
     def test_clear_caches_empties_all_four(self):
         from repro.automaton import automaton_for

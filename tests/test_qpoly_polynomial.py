@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.qpoly import ModAtom, Polynomial
+from repro.qpoly.polynomial import _normalize_monomial
 
 envs = st.fixed_dictionaries(
     {"x": st.integers(-8, 8), "y": st.integers(-8, 8), "n": st.integers(-8, 8)}
@@ -22,8 +23,17 @@ def random_poly():
             Polynomial.constant(7),
             Polynomial.zero,
             x ** 3 - y ** 3,
+            Polynomial.atom(ModAtom({"n": 1}, 1, 3)) * x - y * n,
         ]
     )
+
+
+def in_normal_form(p):
+    """What the normalizing constructor would have built."""
+    for mono, coef in p.terms.items():
+        assert type(coef) is Fraction and coef
+        assert _normalize_monomial(mono) == mono
+    return p.terms == Polynomial(dict(p.terms)).terms
 
 
 class TestBasics:
@@ -82,6 +92,24 @@ class TestArithmetic:
     def test_scalar_div(self):
         p = Polynomial.variable("x") / 4
         assert p.evaluate({"x": 2}) == Fraction(1, 2)
+
+    @given(
+        random_poly(),
+        random_poly(),
+        st.sampled_from([0, 3, -1, Fraction(0), Fraction(-2, 5)]),
+    )
+    @settings(max_examples=80)
+    def test_results_are_in_normal_form(self, p, q, scalar):
+        """Arithmetic builds its results without re-normalizing them,
+        so each must already be what ``Polynomial(terms)`` makes."""
+        results = [
+            p + q, p - q, q - p, -p, p * q, q * p, p * scalar, scalar * p,
+            p + scalar, scalar - p, p / 7, p ** 2,
+            p.substitute("x", q), p.rename({"x": "y"}),
+        ]
+        results.extend(p.coefficients_in("y").values())
+        for result in results:
+            assert in_normal_form(result)
 
 
 class TestStructure:

@@ -8,6 +8,9 @@ returning.
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -570,6 +573,80 @@ class TestWorkerFreshNames:
         assert first["tier"] == second["tier"] == "cold"
         assert first["result"].startswith("exists _e1, _e2: ")
         assert second["result"] == first["result"]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: A fresh interpreter, so what earlier tests imported cannot hide a
+#: cache: a daemon answers a cold count, a member request (which loads
+#: the automaton package into the daemon) and a second cold count.
+_HISTORY_SCRIPT = """
+import asyncio, json
+from repro.serve.daemon import CountingDaemon, ServeConfig
+
+def count(k):
+    return {"id": "c%d" % k, "kind": "count", "over": ["i"],
+            "formula": "1 <= i <= n + %d and 3 | (i + n)" % k,
+            "at": [{"n": 9}]}
+
+MEMBER = {"id": "m", "kind": "member", "over": ["i", "j"],
+          "formula": "0 <= i <= 8 and 0 <= j <= 8 and i + j <= 8",
+          "at": [{"i": 2, "j": 3}]}
+
+async def main():
+    daemon = CountingDaemon(ServeConfig(workers=1, cache_path=None))
+    daemon.start()
+    try:
+        return [await daemon.handle(job) for job in (count(0), MEMBER, count(1))]
+    finally:
+        await daemon.drain()
+
+first, member, second = asyncio.run(main())
+print(json.dumps({"tiers": [first["tier"], second["tier"]],
+                  "member_ok": member["ok"],
+                  "first": sorted(first["stats"]),
+                  "second": sorted(second["stats"])}))
+"""
+
+
+class TestJobStats:
+    """A cold job's ``stats`` is its worker's engine snapshot alone."""
+
+    def test_cold_job_stats_carry_no_serve_block(self, tmp_path):
+        async def scenario(daemon):
+            return [
+                await daemon.handle(
+                    dict(
+                        COUNT_IJ,
+                        id="c%d" % k,
+                        formula="1 <= i and i < j and j <= n + %d" % k,
+                    )
+                )
+                for k in range(3)
+            ]
+
+        responses = run_scenario(
+            scenario, tmp_path, cache_path=None, workers=1
+        )
+        for response in responses:
+            assert response["ok"] and response["tier"] == "cold"
+            assert "serve" not in response["stats"]
+
+    def test_job_stats_keys_do_not_depend_on_earlier_requests(self):
+        done = subprocess.run(
+            [sys.executable, "-c", _HISTORY_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        assert doc["tiers"] == ["cold", "cold"] and doc["member_ok"]
+        assert doc["first"] == doc["second"]
+        for name in ("sat_cache", "answer_memo", "evalc_cache", "automaton_cache"):
+            assert name + "_size" in doc["first"]
+            assert name + "_limit" in doc["first"]
 
 
 class TestLifecycle:
