@@ -262,8 +262,7 @@ def main(argv=None) -> int:
         "warm process.  Answers come from the persistent results store "
         "(warm), an identical in-flight computation (coalesced), or a "
         "fresh executor job under admission control (cold).  SIGTERM "
-        "or SIGINT drains in-flight work and exits 0.  REPRO_SERVE_* "
-        "environment variables provide defaults for every tuning flag.",
+        "or SIGINT drains in-flight work and exits 0.",
     )
     p_serve.add_argument(
         "--host", default="127.0.0.1", help="bind address (default: %(default)s)"
@@ -317,62 +316,56 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="cold-job worker slots (default: REPRO_SERVE_WORKERS or 4)",
+        help="cold-job worker slots (default: 4)",
     )
     p_serve.add_argument(
         "--queue-limit",
         type=int,
         default=None,
         metavar="N",
-        help="max in-flight cold jobs before load-shedding "
-        "(default: REPRO_SERVE_QUEUE or 64)",
+        help="max in-flight cold jobs before load-shedding (default: 64)",
     )
     p_serve.add_argument(
         "--rate",
         type=float,
         default=None,
         metavar="R",
-        help="per-tenant cold dispatches per second "
-        "(default: REPRO_SERVE_RATE or unlimited)",
+        help="per-tenant cold dispatches per second (default: unlimited)",
     )
     p_serve.add_argument(
         "--burst",
         type=float,
         default=None,
         metavar="B",
-        help="per-tenant token-bucket burst (default: REPRO_SERVE_BURST or 16)",
+        help="per-tenant token-bucket burst (default: 16)",
     )
     p_serve.add_argument(
         "--tenant-budget",
         type=int,
         default=None,
         metavar="N",
-        help="ceiling on any one job's sat-call budget "
-        "(default: REPRO_SERVE_TENANT_BUDGET or none)",
+        help="ceiling on any one job's sat-call budget (default: none)",
     )
     p_serve.add_argument(
         "--timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-job wall-clock timeout "
-        "(default: REPRO_SERVE_TIMEOUT or 60)",
+        help="per-job wall-clock timeout (default: 60)",
     )
     p_serve.add_argument(
         "--budget",
         type=int,
         default=None,
         metavar="N",
-        help="default per-job sat-call budget "
-        "(default: REPRO_SERVE_BUDGET or none)",
+        help="default per-job sat-call budget (default: none)",
     )
     p_serve.add_argument(
         "--drain-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="max wait for in-flight jobs on shutdown "
-        "(default: REPRO_SERVE_DRAIN or 30)",
+        help="max wait for in-flight jobs on shutdown (default: 30)",
     )
 
     p_loadgen = sub.add_parser(

@@ -1,23 +1,21 @@
 """The answer memo: a hash-consed conjunct -> SymbolicSum cache.
 
 The memo caches the full answer ``(terms, exactness)`` of a node of
-the counting recursion (:func:`repro.core.convex._sum`) and the piece
-list of an exact elimination
-(:func:`repro.omega.eliminate.eliminate_exact` and its disjoint
-sibling), keyed by an alpha-invariant canonical form of ``(conjunct,
+the counting recursion (:func:`repro.core.convex._sum`, its one
+client), keyed by an alpha-invariant canonical form of ``(conjunct,
 bound vars, mode, polynomial)`` built by
-:func:`repro.core.canon.canonical_conjunct_key`.  Both clients go
-through one :func:`lookup` / :func:`remember` pair.
+:func:`repro.core.canon.canonical_conjunct_key`, through one
+:func:`lookup` / :func:`remember` pair.
 
 Where the hits are.  Structurally identical subproblems recur less
 than the recursion's shape suggests.  In one ``nest-analysis`` round
 of the repository benchmark (seed 111, five queries per loop nest),
-407 lookups give 27 hits, every one a root that a later query of the
-same nest asks again: 27 of 65 roots, 0 of 296 inner ``_sum`` nodes,
-0 of 46 eliminations.  Over the first 300 ``perfbench/cold_cases.json``
-cases, with the memo cleared per case, inner lookups hit 2 of 743
-times and roots 0 of 333.  Keying every node by signature refinement
-cost about a third of a nest round, so lookups are gated:
+361 lookups give 27 hits, every one a root that a later query of the
+same nest asks again: 27 of 65 roots, 0 of 296 inner nodes.  Counting
+each of the 4,000 ``perfbench/cold_cases.json`` cases from an empty
+memo, 10,241 inner lookups hit 75 times in 17 cases and 4,341 roots
+never hit.  Keying every node by signature refinement cost about a
+third of a nest round, so lookups are gated:
 
 * **Fingerprint gate.**  A lookup first computes
   :func:`repro.core.canon.conjunct_fingerprint` (mode, variable and
@@ -53,8 +51,8 @@ cost about a third of a nest round, so lookups are gated:
   answer (``Polynomial.terms`` is an exposed dict) cannot poison the
   cache.
 * **Bounded + instrumented.**  One :class:`~repro.core.stats.BoundedLRU`
-  named ``answer_memo`` holds keyed answers, keyed pieces and
-  fingerprint records (each with its pending raw nodes), at most
+  named ``answer_memo`` holds keyed answers and fingerprint records
+  (each with its pending raw nodes), at most
   :func:`set_answer_memo` items in all (``REPRO_ANSWER_MEMO`` presets
   it; ``0`` or ``off`` disables).  ``answer_memo_hits / misses /
   evictions / renames`` count every lookup and eviction, and
@@ -84,8 +82,8 @@ from repro.omega.constraints import fresh_var
 from repro.omega.problem import Conjunct
 from repro.qpoly import Polynomial
 
-#: Default in-memory capacity (items: keyed answers, keyed pieces and
-#: fingerprint records together).
+#: Default in-memory capacity (items: keyed answers and fingerprint
+#: records together).
 DEFAULT_CAPACITY = stats.CACHE_LIMITS["answer_memo"]
 
 #: Bump when the persisted payload layout changes.
@@ -107,10 +105,9 @@ def _env_capacity() -> int:
 
 #: The one LRU, holding items of two kinds:
 #:
-#: * canonical key (str) -> (payload in canonical names, flags,
-#:   free-symbol signature used to count cross-vocabulary hits); the
-#:   payload is answer terms with flags ``(inexact_upper,
-#:   inexact_lower)``, or elimination pieces with flags ``None``;
+#: * canonical key (str) -> (answer terms in canonical names, flags
+#:   ``(inexact_upper, inexact_lower)``, free-symbol signature used to
+#:   count cross-vocabulary hits);
 #: * fingerprint (tuple) -> list of raw nodes not keyed yet (empty
 #:   once the fingerprint has recurred).
 #:
@@ -169,9 +166,6 @@ def _free_signature(back: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
 
 
 # -- renaming ------------------------------------------------------------
-#
-# A payload is a list of answer Terms (flags is a pair) or a list of
-# elimination pieces, i.e. Conjuncts (flags is None).
 
 
 def _rename_poly(value: Polynomial, mapping: Dict[str, str]) -> Polynomial:
@@ -183,16 +177,14 @@ def _rename_poly(value: Polynomial, mapping: Dict[str, str]) -> Polynomial:
     return Polynomial(dict(value.terms))
 
 
-def _rename(payload: Sequence, mapping: Dict[str, str], flags) -> list:
-    if flags is None:
-        return [piece.rename(mapping) for piece in payload]
+def _rename(payload: Sequence[Term], mapping: Dict[str, str]) -> list:
     return [
         Term(t.guard.rename(mapping), _rename_poly(t.value, mapping))
         for t in payload
     ]
 
 
-def _rename_back(payload: Sequence, back: Dict[str, str], flags) -> list:
+def _rename_back(payload: Sequence[Term], back: Dict[str, str]) -> list:
     """Translate a stored canonical payload into the caller's vocabulary.
 
     Capture guard: a wildcard minted during the cached computation
@@ -202,12 +194,11 @@ def _rename_back(payload: Sequence, back: Dict[str, str], flags) -> list:
     """
     targets = set(back.values())
     mapping = dict(back)
-    for item in payload:
-        conj = item if flags is None else item.guard
-        for w in sorted(conj.wildcards):
+    for t in payload:
+        for w in sorted(t.guard.wildcards):
             if w not in mapping and w in targets:
                 mapping[w] = fresh_var("r")
-    return _rename(payload, mapping, flags)
+    return _rename(payload, mapping)
 
 
 def _block(conj: Conjunct) -> tuple:
@@ -219,22 +210,18 @@ def _block(conj: Conjunct) -> tuple:
     return conj._index, conj._rows, conj.wildcards
 
 
-def _raw_copy(payload: Sequence, flags) -> tuple:
+def _raw_copy(payload: Sequence[Term]) -> tuple:
     """A lean private copy of a computed payload for a pending node.
 
     Row blocks, and a copied coefficient dict because
     ``Polynomial.terms`` is exposed to callers.
     """
-    if flags is None:
-        return tuple(_block(p) for p in payload)
     return tuple(
         (_block(t.guard), dict(t.value.terms)) for t in payload
     )
 
 
-def _from_raw(raw: tuple, flags) -> list:
-    if flags is None:
-        return [Conjunct._make(*block) for block in raw]
+def _from_raw(raw: tuple) -> list:
     return [
         Term(Conjunct._make(*block), Polynomial._make(dict(terms)))
         for block, terms in raw
@@ -323,8 +310,8 @@ def lookup(
 ):
     """Look one node up; returns ``(found, ticket)``.
 
-    ``found`` is ``(payload, flags)`` renamed into the caller's names,
-    or None on a miss.  After a miss the caller computes the node and
+    ``found`` is ``(terms, flags)`` renamed into the caller's names, or
+    None on a miss.  After a miss the caller computes the node and
     passes ``ticket`` to :func:`remember`.  ``mode`` folds in every
     option that can change the answer; ``root`` marks the root of a
     ``sum_over_conjunct`` call, the only node that probes and persists
@@ -352,11 +339,10 @@ def lookup(
     return None, (fp, None, (key, names, persist))
 
 
-def remember(ticket, payload: Sequence, flags=None) -> None:
-    """File the payload computed after a missed :func:`lookup`.
+def remember(ticket, payload: Sequence[Term], flags) -> None:
+    """File the answer terms computed after a missed :func:`lookup`.
 
-    ``flags`` is the ``(inexact_upper, inexact_lower)`` pair of a
-    ``_sum`` node, and None for elimination pieces.
+    ``flags`` is the node's ``(inexact_upper, inexact_lower)`` pair.
     """
     if not _MEMO.limit:
         return
@@ -365,7 +351,7 @@ def remember(ticket, payload: Sequence, flags=None) -> None:
         key, names, persist = keyed
         _store(key, names, payload, flags, persist)
         return
-    raw = node + (_raw_copy(payload, flags), flags)
+    raw = node + (_raw_copy(payload), flags)
     pending = _MEMO.peek(fp)
     if pending is not None:
         # The shape recurred while this node was computed; the next
@@ -380,7 +366,7 @@ def _promote(block, cvars, terms, mode, raw, flags) -> None:
     key, names, _ = canonical_conjunct_key(
         Conjunct._make(*block), cvars, Polynomial._make(dict(terms)), mode
     )
-    _store(key, names, _from_raw(raw, flags), flags, False)
+    _store(key, names, _from_raw(raw), flags, False)
 
 
 def _fetch(key: str, back: Dict[str, str], probe_disk: bool):
@@ -403,18 +389,18 @@ def _fetch(key: str, back: Dict[str, str], probe_disk: bool):
         stats.bump("answer_memo_hits")
         if stored_sig != _free_signature(back):
             stats.bump("answer_memo_renames")
-    return _rename_back(payload, back, flags), flags
+    return _rename_back(payload, back), flags
 
 
 def _store(
     key: str,
     names: Dict[str, str],
-    payload: Sequence,
+    payload: Sequence[Term],
     flags,
     persist: bool,
 ) -> None:
-    """Record a computed payload under its canonical key."""
-    canonical = tuple(_rename(payload, names, flags))
+    """Record computed answer terms under their canonical key."""
+    canonical = tuple(_rename(payload, names))
     back_sig = tuple(
         sorted(
             (canon, orig)

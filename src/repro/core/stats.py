@@ -105,30 +105,6 @@ BUDGET_LIMIT = None
 _budget_used = 0
 
 
-#: Optional provider of serving-layer statistics (see repro.serve).
-#: When a long-lived daemon is running in this process it registers a
-#: zero-argument callable here and :func:`engine_snapshot` includes its
-#: return value under a ``"serve"`` key -- uptime, queue depth,
-#: coalesce/shed counters and per-tier latency quantiles.  ``None``
-#: (the default) adds nothing, so snapshots taken outside a daemon are
-#: unchanged.  A forked executor worker inherits the daemon's provider
-#: and clears it before its job, so a job's ``stats`` never carries a
-#: copy of the daemon's metrics.
-_SERVE_PROVIDER = None
-
-
-def set_serve_stats_provider(provider):
-    """Register (or, with None, clear) the serving-stats provider.
-
-    Returns the previously registered provider so tests and nested
-    daemons can restore it.
-    """
-    global _SERVE_PROVIDER
-    previous = _SERVE_PROVIDER
-    _SERVE_PROVIDER = provider
-    return previous
-
-
 class WorkBudgetExceeded(RuntimeError):
     """A computation exceeded its work budget (see set_work_budget)."""
 
@@ -320,7 +296,9 @@ def engine_snapshot() -> Dict[str, Union[int, float]]:
     ``/stats``: :func:`stats_snapshot` plus ``<name>_size`` and
     ``<name>_limit`` of each :data:`CACHE_LIMITS` cache (empty at its
     starting limit until its module is imported) and of any other
-    registered :class:`BoundedLRU`.
+    registered :class:`BoundedLRU`, and the router's ``backend``.  It
+    reads the engine alone: ``/stats`` adds the daemon's ``serve``
+    block itself (:mod:`repro.serve.http`).
     """
     snap = stats_snapshot()
     for name, limit in CACHE_LIMITS.items():
@@ -332,11 +310,6 @@ def engine_snapshot() -> Dict[str, Union[int, float]]:
     from repro.core.backend import current_backend
 
     snap["backend"] = current_backend()
-    if _SERVE_PROVIDER is not None:
-        try:
-            snap["serve"] = _SERVE_PROVIDER()
-        except Exception:  # a broken provider must not sink a snapshot
-            pass
     return snap
 
 

@@ -120,25 +120,7 @@ def eliminate_exact(conj: Conjunct, var: str) -> List[Conjunct]:
     The returned pieces no longer mention ``var`` but may overlap; their
     union is exactly ``∃ var . conj``.  Splinter pieces are resolved by
     the equality machinery, which may add fresh wildcards.
-
-    Decompositions go through the answer memo (mode ``elim``): a
-    piece-level hit skips the shadow, splinter and equality machinery
-    wholesale.
     """
-    from repro.core import memo
-    from repro.qpoly import Polynomial
-
-    if not memo.answer_memo_enabled():
-        return _eliminate_exact_inner(conj, var)
-    found, ticket = memo.lookup(conj, (var,), Polynomial.one, "elim")
-    if found is not None:
-        return found[0]
-    pieces = _eliminate_exact_inner(conj, var)
-    memo.remember(ticket, pieces)
-    return pieces
-
-
-def _eliminate_exact_inner(conj: Conjunct, var: str) -> List[Conjunct]:
     conj2 = conj.normalize()
     if conj2 is None:
         return []
@@ -184,29 +166,7 @@ def eliminate_exact_disjoint(
     them disjoint with the Section 5.3 conversion.  Pieces whose
     wildcards cannot be put in stride-only form are themselves
     recursively projected first.
-
-    Memoized like :func:`eliminate_exact` (mode ``elimdisj:<budget>``
-    -- the budget caps how hard disjointification may work, so runs
-    with different budgets must not share entries).
     """
-    from repro.core import memo
-    from repro.qpoly import Polynomial
-
-    if not memo.answer_memo_enabled():
-        return _eliminate_exact_disjoint_inner(conj, var, budget)
-    found, ticket = memo.lookup(
-        conj, (var,), Polynomial.one, "elimdisj:%d" % budget
-    )
-    if found is not None:
-        return found[0]
-    pieces = _eliminate_exact_disjoint_inner(conj, var, budget)
-    memo.remember(ticket, pieces)
-    return pieces
-
-
-def _eliminate_exact_disjoint_inner(
-    conj: Conjunct, var: str, budget: int
-) -> List[Conjunct]:
     from repro.presburger.disjoint import disjointify
 
     pieces = eliminate_exact(conj, var)

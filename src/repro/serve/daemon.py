@@ -49,12 +49,16 @@ this.
 Graceful drain: :meth:`CountingDaemon.drain` stops admitting work
 (late requests are shed with an ``overloaded`` error), waits for every
 in-flight computation up to ``drain_timeout``, flushes them to the
-results store, and releases the pools, the stats provider hook and the
-cache.  The CLI wires SIGTERM/SIGINT to it.
+results store, and releases the pools and the cache.  The CLI wires
+SIGTERM/SIGINT to it.
+
+Every answer the daemon settles (a cold result, an evaluate served
+from the artifact map, a resident-automaton query) is written through
+to the results store.  A write that fails does not fail the request:
+the answer is served uncached and counted as ``store_write_errors``.
 """
 
 import asyncio
-import os
 import sqlite3
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -94,23 +98,8 @@ ARTIFACT_CAP = 1024
 AUTOMATON_KINDS = ("member", "count_below")
 
 
-def _env_int(name: str) -> Optional[int]:
-    value = os.environ.get(name)
-    return int(value) if value else None
-
-
-def _env_float(name: str) -> Optional[float]:
-    value = os.environ.get(name)
-    return float(value) if value else None
-
-
 class ServeConfig:
-    """Daemon tuning knobs, with ``REPRO_SERVE_*`` environment defaults.
-
-    Explicit constructor arguments always win; :meth:`from_env` layers
-    the environment between the hard defaults and any overrides, which
-    is what the CLI uses.
-    """
+    """Daemon tuning knobs; ``repro serve`` builds one from its flags."""
 
     __slots__ = (
         "host",
@@ -162,22 +151,6 @@ class ServeConfig:
         self.cache_limit = cache_limit
         self.drain_timeout = drain_timeout
 
-    @classmethod
-    def from_env(cls, **overrides) -> "ServeConfig":
-        values = {
-            "workers": _env_int("REPRO_SERVE_WORKERS"),
-            "queue_limit": _env_int("REPRO_SERVE_QUEUE"),
-            "rate": _env_float("REPRO_SERVE_RATE"),
-            "burst": _env_float("REPRO_SERVE_BURST"),
-            "tenant_budget": _env_int("REPRO_SERVE_TENANT_BUDGET"),
-            "default_timeout": _env_float("REPRO_SERVE_TIMEOUT"),
-            "default_budget": _env_int("REPRO_SERVE_BUDGET"),
-            "drain_timeout": _env_float("REPRO_SERVE_DRAIN"),
-        }
-        values = {k: v for k, v in values.items() if v is not None}
-        values.update(overrides)
-        return cls(**values)
-
 
 class _InFlight:
     """A shared cold computation plus how many clients are on it."""
@@ -197,7 +170,7 @@ class CountingDaemon:
         config: Optional[ServeConfig] = None,
         cache: Optional[DiskCache] = None,
     ):
-        self.config = config or ServeConfig.from_env()
+        self.config = config or ServeConfig()
         self.metrics = ServeMetrics()
         self.metrics.queue_probe = lambda: len(self._inflight)
         self.tenants = TenantTable(
@@ -221,12 +194,11 @@ class CountingDaemon:
         self._io: Optional[ThreadPoolExecutor] = None
         self._draining = False
         self._started = False
-        self._prev_provider = None
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        """Create the worker pools and register the stats provider."""
+        """Create the worker pools."""
         if self._started:
             return
         self._pool = ThreadPoolExecutor(
@@ -239,9 +211,6 @@ class CountingDaemon:
         # cache's WAL + busy-timeout configuration).
         self._io = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-io"
-        )
-        self._prev_provider = stats.set_serve_stats_provider(
-            self.metrics.snapshot
         )
         self._draining = False
         self._started = True
@@ -266,8 +235,6 @@ class CountingDaemon:
         if self._io is not None:
             self._io.shutdown(wait=True)
             self._io = None
-        if self._started:
-            stats.set_serve_stats_provider(self._prev_provider)
         if self._owns_cache and self.cache is not None:
             self.cache.close()
             self.cache = None
@@ -404,17 +371,8 @@ class CountingDaemon:
             )
             if outcome["ok"]:
                 payload = outcome["payload"]
-                if self.cache is not None and self._io is not None:
-                    # A cache-write failure must not sink the response:
-                    # the answer is computed, serve it uncached.
-                    try:
-                        await loop.run_in_executor(
-                            self._io, self.cache.put, key, payload
-                        )
-                    except (sqlite3.Error, OSError):
-                        pass
-                    else:
-                        self._bodies.put(key, response_core(payload))
+                if await self._write_through(key, payload):
+                    self._bodies.put(key, response_core(payload))
                 self._remember_artifact(req, payload)
             return outcome
         finally:
@@ -422,6 +380,22 @@ class CountingDaemon:
             # duplicate arriving during settle finds the warm tier (or
             # the still-registered task), never a second cold dispatch.
             self._inflight.pop(key, None)
+
+    async def _write_through(self, key: str, payload: dict) -> bool:
+        """Store an answer under its content hash; True if it landed.
+
+        A failed write must not sink the response: the answer is
+        computed, so it is served uncached, and the failure is counted.
+        """
+        if self.cache is None or self._io is None:
+            return False
+        loop = asyncio.get_event_loop()
+        try:
+            await loop.run_in_executor(self._io, self.cache.put, key, payload)
+        except (sqlite3.Error, OSError):
+            self.metrics.bump("store_write_errors")
+            return False
+        return True
 
     def _run_cold(self, req: JobRequest, budget) -> dict:
         """Blocking executor dispatch (runs on the cold thread pool)."""
@@ -509,14 +483,7 @@ class CountingDaemon:
             "points": points,
             "stats": stats.engine_snapshot(),
         }
-        if self.cache is not None and self._io is not None:
-            loop = asyncio.get_event_loop()
-            try:
-                await loop.run_in_executor(
-                    self._io, self.cache.put, key, payload
-                )
-            except (sqlite3.Error, OSError):
-                pass
+        await self._write_through(key, payload)
         self.metrics.bump("artifact_hits")
         return self._ok_response(req.id, payload, t0, "warm", cached=False)
 
@@ -550,13 +517,7 @@ class CountingDaemon:
             )
         except Exception:
             return None  # fall through to the coalesce/cold tiers
-        if self.cache is not None and self._io is not None:
-            try:
-                await loop.run_in_executor(
-                    self._io, self.cache.put, key, payload
-                )
-            except (sqlite3.Error, OSError):
-                pass
+        await self._write_through(key, payload)
         self.metrics.bump("automaton_hits")
         return self._ok_response(req.id, payload, t0, "warm", cached=False)
 

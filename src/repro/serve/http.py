@@ -11,7 +11,8 @@ bodies, keep-alive).
 HTTP surface::
 
     GET  /healthz          -> {"ok": true, "uptime_seconds": ..., ...}
-    GET  /stats            -> engine_snapshot() incl. the "serve" key
+    GET  /stats            -> engine_snapshot() plus the daemon's metrics
+                              under "serve"
     POST /count|/sum|/simplify|/evaluate|/member|/count_below
                            body = request JSON (the path fixes the
                               "kind" field)
@@ -290,7 +291,9 @@ class HttpFrontend(_Frontend):
                     "queue_depth": self.daemon.metrics.queue_depth(),
                 }
             if path == "/stats":
-                return 200, stats.engine_snapshot()
+                snap = stats.engine_snapshot()
+                snap["serve"] = self.daemon.metrics.snapshot()
+                return 200, snap
             return 404, self._failure("no such endpoint: %s" % path, "not_found")
         if method != "POST":
             return 405, self._failure("method %s not allowed" % method)
@@ -454,7 +457,7 @@ def serve_main(args) -> int:
         # Same trick for built automata: the persistent store keeps
         # resident member/count_below sets across daemon restarts.
         os.environ["REPRO_AUTOMATON_DB"] = args.automaton_cache
-    config = ServeConfig.from_env(
+    config = ServeConfig(
         host=args.host,
         http_port=args.http_port,
         jsonl_port=args.jsonl_port,

@@ -446,7 +446,7 @@ def loadgen_main(args) -> int:
         )
         summaries = [summary]
     else:
-        config = ServeConfig.from_env(
+        config = ServeConfig(
             cache_path=None if args.no_cache else args.cache,
             **{
                 k: v

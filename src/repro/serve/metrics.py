@@ -18,9 +18,8 @@ behaviour observable without a profiler:
   counters.
 
 :meth:`ServeMetrics.snapshot` is the single JSON-safe view, used by
-the ``/stats`` endpoint, the load generator's summary, and -- via
-:func:`repro.core.stats.set_serve_stats_provider` -- by
-``engine_snapshot()``'s ``"serve"`` key.
+the ``/stats`` endpoint (its ``"serve"`` key, next to the engine's
+snapshot) and the load generator's summary.
 
 Everything here must be safe to update from the event-loop thread
 while snapshots are taken; plain int increments and list-cell updates
@@ -58,6 +57,7 @@ COUNTER_NAMES = (
     "front_errors",  # bad request / parse failures before any tier
     "job_errors",  # cold jobs that settled with a structured error
     "cancelled_waiters",  # client tasks cancelled while awaiting a job
+    "store_write_errors",  # answers the results store failed to take
 )
 
 

@@ -36,7 +36,7 @@ from repro.qpoly import Polynomial
 
 SPLINTERY = "1 <= i <= n and 1 <= j <= m and 3*j <= 2*i + n and 2 | (i + j)"
 
-#: An existential whose count projects ``q`` through the piece memo.
+#: An existential whose count projects ``q`` by exact elimination.
 PIECEWISE = "exists q: 1 <= i <= %d*n and 2*i <= 3*q and 5*q <= 4*n + %d"
 
 
@@ -169,7 +169,7 @@ class TestBounds:
             with stats.collecting_stats() as counters:
                 for k in range(1, 7):
                     count("1 <= i <= %d*n" % k, ["i"])
-                    # Elimination pieces share the one capacity.
+                    # A projected count fills the memo with more nodes.
                     count(PIECEWISE % (k, k), ["i"])
                 assert counters["answer_memo_evictions"] > 0
             info = answer_memo_info()
@@ -252,23 +252,29 @@ class TestThreads:
         assert wrong == []
 
 
-class TestPieceMemo:
-    def test_eliminate_exact_decomposition_is_memoized(self):
-        from repro.omega.eliminate import eliminate_exact
+class TestEliminationBypassesTheMemo:
+    def test_exact_eliminations_neither_look_up_nor_file(self):
+        """The memo has one client, the counting recursion's ``_sum``.
 
-        clause = to_dnf(
-            parse("exists k: 1 <= i <= n and 2*i <= 3*k and 5*k <= 4*n")
-        )[0]
+        Projection is an Omega step below the recursion: repeating it
+        does its work again (its sat queries hit the sat cache) and
+        never touches the answer memo.
+        """
+        from repro.omega.eliminate import (
+            eliminate_exact,
+            eliminate_exact_disjoint,
+        )
+
+        clause = to_dnf(parse(PIECEWISE % (1, 1)))[0]
         (wild,) = clause.wildcards
         with stats.collecting_stats() as counters:
-            first = eliminate_exact(clause, wild)
-            stats.reset_stats()
-            second = eliminate_exact(clause, wild)
-            assert counters["answer_memo_hits"] >= 1
-            assert counters["fm_eliminations"] == 0
-        assert len(first) == len(second)
-        for a, b in zip(first, second):
-            assert str(a) == str(b)
+            for _ in range(2):
+                first = eliminate_exact(clause, wild)
+                disjoint = eliminate_exact_disjoint(clause, wild)
+            assert counters["fm_eliminations"] > 0
+            assert counters["answer_memo_hits"] == 0
+            assert counters["answer_memo_misses"] == 0
+        assert first and disjoint
 
 
 class TestPersistence:

@@ -60,7 +60,7 @@ COUNTERS = (
 GOLDEN = {
     "1.0.0": (
         "564e757f67487e9813edc317edb5e06ccf68140850552c32c84034f3e81d75b0",
-        "f2b59abe01cc5727a95b1fb786d694fc06e3362227bc1a973ffda52f486f4627",
+        "fbba02f955280bb62564880152772a93b60783bc87cb14613caf7eb0f2c4fd86",
         "f49339803c1051a51050e3480e0241fbfe04b84fd736f2299520ebc58762bb06",
     ),
 }

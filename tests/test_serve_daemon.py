@@ -9,13 +9,13 @@ returning.
 import asyncio
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 import threading
 
 import pytest
 
-from repro.core import stats
 from repro.serve.daemon import (
     ARTIFACT_CAP,
     CountingDaemon,
@@ -24,6 +24,7 @@ from repro.serve.daemon import (
     ServeConfig,
 )
 from repro.service.batch import VOLATILE_RESPONSE_KEYS, run_batch
+from repro.service.diskcache import DiskCache
 from repro.service.request import JobRequest
 
 COUNT_IJ = {
@@ -649,15 +650,62 @@ class TestJobStats:
             assert name + "_limit" in doc["first"]
 
 
+class FailingStore(DiskCache):
+    """A results store that reads but refuses every write."""
+
+    def put(self, key, payload):
+        raise sqlite3.OperationalError("database is locked")
+
+
+class TestStoreWriteErrors:
+    def test_failed_writes_are_counted_and_answers_still_served(
+        self, tmp_path
+    ):
+        store = FailingStore(str(tmp_path / "store.sqlite"))
+        evaluate = {
+            "id": "e1",
+            "kind": "evaluate",
+            "formula": "1 <= i <= n and 5 | (i + 2*n)",
+            "over": ["i"],
+            "at": [{"n": 12}],
+        }
+        jobs = [COUNT_IJ, evaluate, dict(evaluate, id="e2", at=[{"n": 3}])]
+
+        async def scenario():
+            daemon = CountingDaemon(make_config(tmp_path), cache=store)
+            daemon.start()
+            try:
+                responses = [await daemon.handle(job) for job in jobs]
+                return responses, daemon.metrics.snapshot(), len(daemon._bodies)
+            finally:
+                await daemon.drain()
+
+        try:
+            responses, snap, bodies = asyncio.run(scenario())
+        finally:
+            store.close()
+        assert [r["ok"] for r in responses] == [True, True, True]
+        assert [r["tier"] for r in responses] == ["cold", "cold", "warm"]
+        assert responses[0]["points"] == [{"at": {"n": 10}, "value": 45}]
+        assert snap["counters"]["store_write_errors"] == 3
+        assert snap["counters"]["artifact_hits"] == 1
+        assert bodies == 0  # only a stored answer is a warm body
+
+
+class TestConfig:
+    def test_environment_sets_no_knob(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default store path is relative
+        monkeypatch.setenv("REPRO_SERVE_QUEUE", "1")
+        monkeypatch.setenv("REPRO_SERVE_WORKERS", "9")
+        daemon = CountingDaemon()
+        try:
+            assert daemon.config.queue_limit == 64
+            assert daemon.config.workers == 4
+        finally:
+            daemon.cache.close()
+
+
 class TestLifecycle:
-    def test_drain_restores_stats_provider_and_closes_cache(self, tmp_path):
-        async def scenario(daemon):
-            await daemon.handle(COUNT_IJ)
-            assert "serve" in stats.engine_snapshot()
-
-        run_scenario(scenario, tmp_path)
-        assert "serve" not in stats.engine_snapshot()
-
     def test_drain_waits_for_inflight_then_caches(self, tmp_path):
         fake = FakeCold()
         fake.release.clear()

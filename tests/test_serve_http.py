@@ -22,6 +22,7 @@ from repro.serve.http import (
     response_status,
 )
 from repro.serve.loadgen import _http_request
+from repro.service.request import JobRequest
 
 COUNT_IJ = {
     "id": "pairs",
@@ -130,6 +131,65 @@ class TestHttpFrontend:
         assert snap["serve"]["counters"]["requests"] == 2
         assert snap["serve"]["counters"]["warm_hits"] == 1
         assert "sat_calls" in snap  # the engine snapshot is the base
+
+    def test_in_process_answers_and_their_rows_carry_no_serve_block(
+        self, tmp_path
+    ):
+        """Only ``/stats`` reports the daemon's serving metrics.
+
+        An evaluate at a new point (served from the artifact map) and a
+        member request (its automaton built in the daemon, then queried
+        resident) are answered in the daemon's own process; neither the
+        answers nor the store rows they write may copy those metrics.
+        """
+        evaluate = {
+            "id": "e1",
+            "kind": "evaluate",
+            "formula": "1 <= i <= n and 7 | (i + 3*n)",
+            "over": ["i"],
+            "at": [{"n": 20}],
+        }
+        member = {
+            "id": "m1",
+            "kind": "member",
+            "formula": "0 <= i <= 11 and 0 <= j <= 7 and i + 2*j <= 13",
+            "over": ["i", "j"],
+            "at": [{"i": 3, "j": 5}],
+        }
+        jobs = [
+            evaluate,
+            dict(evaluate, id="e2", at=[{"n": 30}]),
+            member,
+            dict(member, id="m2", at=[{"i": 11, "j": 1}]),
+        ]
+
+        async def scenario(daemon, front, reader, writer):
+            responses = []
+            for job in jobs:
+                status, doc = await _http_request(
+                    reader, writer, "POST", "/job", job
+                )
+                assert status == 200, doc
+                responses.append(doc)
+            _status, snap = await _http_request(
+                reader, writer, "GET", "/stats"
+            )
+            rows = [
+                daemon.cache.get(JobRequest.from_json(job).content_hash())
+                for job in jobs
+            ]
+            return responses, snap, rows
+
+        responses, snap, rows = http_scenario(tmp_path, scenario)
+        assert [r["tier"] for r in responses] == [
+            "cold", "warm", "cold", "warm"
+        ]
+        for response, row in zip(responses, rows):
+            assert "serve" not in response["stats"], response["id"]
+            assert row is not None and "serve" not in row["stats"]
+        counters = snap["serve"]["counters"]
+        assert counters["artifact_hits"] == counters["automaton_hits"] == 1
+        assert counters["store_write_errors"] == 0
 
     def test_bad_json_body_is_400(self, tmp_path):
         async def scenario(daemon, front, reader, writer):

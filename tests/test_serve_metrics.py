@@ -1,10 +1,9 @@
-"""Serving observability: histograms, counters, the stats provider."""
+"""Serving observability: histograms, counters, the queue probe."""
 
 import random
 
 import pytest
 
-from repro.core import stats
 from repro.serve.metrics import (
     BUCKET_BOUNDS_MS,
     COUNTER_NAMES,
@@ -169,28 +168,3 @@ class TestServeMetrics:
         assert snap["tiers"]["warm"]["count"] == 1
         assert snap["tiers"]["cold"]["count"] == 1
         assert snap["tiers"]["coalesced"]["count"] == 0
-
-
-class TestStatsProvider:
-    def test_engine_snapshot_gains_serve_key(self):
-        m = ServeMetrics()
-        m.bump("requests", 3)
-        previous = stats.set_serve_stats_provider(m.snapshot)
-        try:
-            snap = stats.engine_snapshot()
-            assert snap["serve"]["counters"]["requests"] == 3
-        finally:
-            stats.set_serve_stats_provider(previous)
-        assert "serve" not in stats.engine_snapshot()
-
-    def test_provider_errors_are_swallowed(self):
-        def broken():
-            raise RuntimeError("boom")
-
-        previous = stats.set_serve_stats_provider(broken)
-        try:
-            snap = stats.engine_snapshot()
-            assert "serve" not in snap
-            assert "sat_calls" in snap  # the rest of the snapshot intact
-        finally:
-            stats.set_serve_stats_provider(previous)
